@@ -552,18 +552,34 @@ fn port_destroy_reclaims_transit_slots() {
     }
 }
 
+/// Raises a shared stop flag if its thread unwinds, so a failed assert
+/// in one worker ends the others instead of leaving them waiting for
+/// messages that will never arrive.
+struct StopOnPanic(Arc<std::sync::atomic::AtomicBool>);
+
+impl Drop for StopOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+}
+
 #[test]
 fn concurrent_producers_and_consumers() {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     let w = Arc::new(world(512));
     let port = w.nucleus.port_create();
     const MSGS: usize = 12;
+    let stop = Arc::new(AtomicBool::new(false));
 
     // Two producers with their own buffers.
     let producers: Vec<_> = (0..2u64)
         .map(|p| {
             let w = Arc::clone(&w);
+            let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
+                let _guard = StopOnPanic(Arc::clone(&stop));
                 let a = w.nucleus.actor_create().unwrap();
                 let base = VirtAddr(0x100_0000 + p * 0x10_0000);
                 w.nucleus.rgn_allocate(a, base, 8 * PS, Prot::RW).unwrap();
@@ -574,6 +590,9 @@ fn concurrent_producers_and_consumers() {
                         .unwrap();
                     // Retry when the 4-slot transit segment is full.
                     loop {
+                        if stop.load(Ordering::SeqCst) {
+                            return;
+                        }
                         match w.nucleus.ipc_send(a, port, base, 2 * PS) {
                             Ok(()) => break,
                             Err(IpcError::TransitFull) => std::thread::yield_now(),
@@ -591,12 +610,16 @@ fn concurrent_producers_and_consumers() {
         .map(|c| {
             let w = Arc::clone(&w);
             let received = Arc::clone(&received);
+            let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
+                let _guard = StopOnPanic(Arc::clone(&stop));
                 let a = w.nucleus.actor_create().unwrap();
                 let base = VirtAddr(0x400_0000 + c * 0x10_0000);
                 w.nucleus.rgn_allocate(a, base, 8 * PS, Prot::RW).unwrap();
                 loop {
-                    if received.load(Ordering::SeqCst) >= (2 * MSGS) as u64 {
+                    if stop.load(Ordering::SeqCst)
+                        || received.load(Ordering::SeqCst) >= (2 * MSGS) as u64
+                    {
                         return;
                     }
                     match w
@@ -620,15 +643,18 @@ fn concurrent_producers_and_consumers() {
         })
         .collect();
 
-    for t in producers {
-        t.join().unwrap();
+    // Join every worker before failing, so the first panic is reported
+    // only once all threads have stopped.
+    let results: Vec<_> = producers
+        .into_iter()
+        .chain(consumers)
+        .map(|t| t.join())
+        .collect();
+    for r in results {
+        if let Err(panic) = r {
+            std::panic::resume_unwind(panic);
+        }
     }
-    for t in consumers {
-        t.join().unwrap();
-    }
-    assert_eq!(
-        received.load(std::sync::atomic::Ordering::SeqCst),
-        (2 * MSGS) as u64
-    );
+    assert_eq!(received.load(Ordering::SeqCst), (2 * MSGS) as u64);
     w.nucleus.gmi().check_invariants();
 }

@@ -101,13 +101,9 @@ impl PvmState {
         for m in mappings {
             if let Ok(c) = self.ctx(m.ctx) {
                 let mmu_ctx = c.mmu_ctx;
-                // Hoisted out of the `if let` scrutinee: a scrutinee
-                // temporary would keep the trans guard alive across the
-                // body, self-deadlocking on the `protect` below.
-                let queried = self.mmu.lock().query(mmu_ctx, m.vpn);
-                if let Some((_, prot)) = queried {
+                if let Some((_, prot)) = self.mmu.query(mmu_ctx, m.vpn) {
                     let narrowed = prot.remove(Prot::WRITE);
-                    self.mmu.lock().protect(mmu_ctx, m.vpn, narrowed);
+                    self.mmu.protect(mmu_ctx, m.vpn, narrowed);
                     // Narrow the fast-path entry in the same step so a
                     // racing writer cannot dodge the cleaning wait.
                     self.fast.install(m.ctx, m.vpn, frame, narrowed);
@@ -274,10 +270,10 @@ impl PvmState {
         match version {
             Version::Page(p) => {
                 let src = self.page(p).frame;
-                self.phys.lock().copy_frame(src, frame);
+                self.phys.copy_frame(src, frame);
                 self.unmap_via(p, cache);
             }
-            Version::Zero => self.phys.lock().zero(frame),
+            Version::Zero => self.phys.zero(frame),
         }
         if let Some(Slot::Cow(src)) = self.slot(cache, off) {
             self.unthread_cow_stub(cache, off, src);

@@ -64,10 +64,6 @@ pub struct PvmConfig {
     /// non-stub, access already allowed) then complete without the big
     /// lock. Disable for single-lock ablation runs.
     pub fast_path: bool,
-    /// Lock stripes for the sharded global map (rounded up to a power of
-    /// two). Independent caches hash to different stripes and never
-    /// contend on one mutex.
-    pub global_map_shards: usize,
     /// Event tracing (see [`crate::trace`]). Disabled by default; when
     /// disabled every trace point is one relaxed atomic load, and when
     /// enabled the simulated clock is untouched, so the evaluation
@@ -179,16 +175,13 @@ pub struct PvmConfig {
     /// to multiples of this period on the simulated clock. Must be at
     /// least 1 when [`PvmConfig::telemetry`] is on.
     pub telemetry_sample_ns: u64,
-    /// Parallel hard-fault engine: decompose the PVM into independently
-    /// lockable domains (per-cache fault stripes over the global-map
-    /// hash, a physical-tier lock around the buddy allocator, one
-    /// translation lock around the MMU) so hard faults to *disjoint*
-    /// caches pull, fill and map concurrently — the faulting thread
-    /// holds only its cache's stripe across the pull, and `fillUp`
-    /// copies the delivered bytes into landing frames outside every
-    /// domain lock. Off by default: all work then funnels through the
-    /// classic single state mutex and the evaluation tables are
-    /// bit-identical. The striped driver engages only when
+    /// Parallel hard-fault engine: 16 per-cache fault stripes above the
+    /// state lock, so hard faults to *disjoint* caches pull and fill
+    /// concurrently — the faulting thread holds only its cache's stripe
+    /// across the pull, and `fillUp` copies the delivered bytes into
+    /// landing frames outside every lock. Off by default: all work then
+    /// funnels through the classic single state mutex and the
+    /// evaluation tables are bit-identical. The striped driver engages only when
     /// [`PvmConfig::async_upcalls`] is off (the completion engine has
     /// its own source of concurrency); the knob is inert, not invalid,
     /// with the engine on.
@@ -221,7 +214,6 @@ impl Default for PvmConfig {
             quarantine_on_permanent_failure: true,
             emergency_pageout: true,
             fast_path: true,
-            global_map_shards: 16,
             trace: TraceConfig::default(),
             push_cluster_pages: 1,
             writeback_daemon: false,
@@ -268,8 +260,8 @@ impl PvmConfig {
 
 /// Builder for [`PvmConfig`] enforcing cross-field invariants that a
 /// plain struct literal cannot: watermark ordering, non-zero cluster
-/// and shard sizes, readahead ceiling at least the base cluster, a
-/// positive in-flight budget, and well-formed policy overrides.
+/// sizes, readahead ceiling at least the base cluster, a positive
+/// in-flight budget, and well-formed policy overrides.
 ///
 /// Knobs are set through grouped sections, each a closure over a
 /// section proxy:
@@ -322,8 +314,8 @@ macro_rules! flat_forwards {
     };
 }
 
-/// The `paging` section: core replacement/readahead mechanics, map
-/// sharding and the fault fast paths.
+/// The `paging` section: core replacement/readahead mechanics and the
+/// fault fast paths.
 #[derive(Debug)]
 pub struct PagingSection {
     cfg: PvmConfig,
@@ -349,8 +341,6 @@ impl PagingSection {
         readahead_max_pages: u64,
         /// See [`PvmConfig::fast_path`].
         fast_path: bool,
-        /// See [`PvmConfig::global_map_shards`].
-        global_map_shards: usize,
         /// See [`PvmConfig::parallel_faults`].
         parallel_faults: bool,
     }
@@ -510,7 +500,7 @@ macro_rules! sections {
 impl PvmConfigBuilder {
     sections! {
         /// Core paging mechanics: clustering, readahead window bounds,
-        /// map sharding, fast paths. See [`PagingSection`].
+        /// fast paths. See [`PagingSection`].
         paging: PagingSection,
         /// The asynchronous upcall engine and mapper-health
         /// escalation. See [`AsyncSection`].
@@ -539,7 +529,6 @@ impl PvmConfigBuilder {
         quarantine_on_permanent_failure: bool => "async",
         emergency_pageout: bool => "pressure",
         fast_path: bool => "paging",
-        global_map_shards: usize => "paging",
         trace: TraceConfig => "telemetry",
         push_cluster_pages: u64 => "paging",
         writeback_daemon: bool => "pressure",
@@ -570,7 +559,7 @@ impl PvmConfigBuilder {
     /// # Errors
     ///
     /// Returns [`chorus_gmi::GmiError::Unsupported`] naming the violated
-    /// invariant: zero cluster/shard/in-flight sizes, inverted
+    /// invariant: zero cluster/in-flight sizes, inverted
     /// writeback watermarks, or a readahead ceiling below the base
     /// pull cluster.
     pub fn build(self) -> chorus_gmi::Result<PvmConfig> {
@@ -583,11 +572,6 @@ impl PvmConfigBuilder {
         if c.push_cluster_pages < 1 {
             return Err(chorus_gmi::GmiError::Unsupported(
                 "push_cluster_pages must be at least 1",
-            ));
-        }
-        if c.global_map_shards < 1 {
-            return Err(chorus_gmi::GmiError::Unsupported(
-                "global_map_shards must be at least 1",
             ));
         }
         if c.writeback_low_frames > c.writeback_high_frames {
@@ -670,8 +654,6 @@ mod tests {
         assert!(c.quarantine_on_permanent_failure);
         assert!(c.emergency_pageout);
         assert!(c.fast_path, "soft-fault fast path is on by default");
-        assert_eq!(c.global_map_shards, 16);
-        assert!(c.global_map_shards.is_power_of_two());
         assert!(!c.trace.enabled, "tracing is opt-in");
         assert!(!c.trace.wall_clock, "wall stamps are opt-in");
         assert_eq!(c.push_cluster_pages, 1, "write clustering is opt-in");
@@ -797,7 +779,6 @@ mod tests {
             |f: fn(PagingSection) -> PagingSection| PvmConfig::builder().paging(f).build().is_err();
         assert!(paging_err(|p| p.pull_cluster_pages(0)));
         assert!(paging_err(|p| p.push_cluster_pages(0)));
-        assert!(paging_err(|p| p.global_map_shards(0)));
         assert!(paging_err(|p| p
             .pull_cluster_pages(8)
             .readahead_max_pages(4)));

@@ -218,7 +218,7 @@ impl PvmState {
             match version {
                 Version::Page(p) => {
                     let frame = self.page(p).frame;
-                    self.phys.lock().read(frame, cur - page_off, dst);
+                    self.phys.read(frame, cur - page_off, dst);
                 }
                 Version::Zero => dst.fill(0),
             }
@@ -251,7 +251,7 @@ impl PvmState {
                 crate::state::Outcome::Blocked(b) => return blocked(b),
             };
             let frame = self.page(page).frame;
-            self.phys.lock().write(
+            self.phys.write(
                 frame,
                 cur - page_off,
                 &data[(cur - off) as usize..(cur - off + in_page) as usize],
@@ -311,14 +311,14 @@ impl PvmState {
                 match version {
                     Version::Page(p) => {
                         let src = self.page(p).frame;
-                        self.phys.lock().copy_frame(src, frame);
+                        self.phys.copy_frame(src, frame);
                         self.stats.bump(Counter::CowCopies);
                         // Stale read mappings established through this
                         // cache must re-fault onto the new own page.
                         self.unmap_via(p, cache);
                     }
                     Version::Zero => {
-                        self.phys.lock().zero(frame);
+                        self.phys.zero(frame);
                         self.stats.bump(Counter::ZeroFills);
                     }
                 }

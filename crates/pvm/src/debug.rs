@@ -24,6 +24,7 @@ impl PvmState {
         self.check_caches();
         self.check_pages();
         self.check_regions();
+        self.check_mapping_index();
         self.check_frames();
         self.check_clock_ring();
         self.check_fast_path();
@@ -31,7 +32,7 @@ impl PvmState {
     }
 
     fn check_global_map(&self) {
-        for ((cache, off), slot) in self.gmap.slots_snapshot() {
+        for ((cache, off), slot) in self.gmap.slots() {
             let c = self
                 .caches
                 .get(cache)
@@ -71,14 +72,23 @@ impl PvmState {
                 );
             }
         }
-        for ((c, o), list) in self.gmap.loc_stubs_snapshot() {
-            for (dc, doff) in list {
+        for ((c, o), list) in self.gmap.loc_stubs() {
+            assert!(!list.is_empty(), "empty loc-stub list at ({c:?},{o:#x})");
+            for &(dc, doff) in list {
                 assert_eq!(
                     self.gmap.get(dc, doff),
                     Some(Slot::Cow(CowSource::Loc(c, o))),
                     "stale loc-stub registration"
                 );
             }
+        }
+        for (cache, _) in self.caches.iter() {
+            let scanned = self.gmap.loc_stubs().any(|((c, _), _)| c == cache);
+            assert_eq!(
+                self.gmap.has_loc_stubs_from(cache),
+                scanned,
+                "has_loc_stubs_from({cache:?}) disagrees with a full scan"
+            );
         }
         let indexed: usize = self.caches.iter().map(|(_, c)| c.entries.len()).sum();
         assert_eq!(
@@ -115,7 +125,7 @@ impl PvmState {
             let Some(cd) = self.contexts.get(ctx) else {
                 panic!("fast-path entry for dead context {ctx:?}");
             };
-            let Some((frame, prot)) = self.mmu.lock().query(cd.mmu_ctx, vpn) else {
+            let Some((frame, prot)) = self.mmu.query(cd.mmu_ctx, vpn) else {
                 panic!("fast-path entry ({ctx:?},{vpn:?}) without MMU mapping");
             };
             assert_eq!(e.frame, frame, "fast-path frame mismatch at {vpn:?}");
@@ -216,7 +226,7 @@ impl PvmState {
             }
             for m in &p.mappings {
                 let ctx = self.contexts.get(m.ctx).expect("mapping into dead context");
-                let entry = self.mmu.lock().query(ctx.mmu_ctx, m.vpn);
+                let entry = self.mmu.query(ctx.mmu_ctx, m.vpn);
                 assert_eq!(
                     entry.map(|(f, _)| f),
                     Some(p.frame),
@@ -262,9 +272,39 @@ impl PvmState {
         }
     }
 
+    /// Each context's vpn index is exactly the inverse of the pages'
+    /// mapping lists, and covers every base mapping its MMU context
+    /// holds.
+    fn check_mapping_index(&self) {
+        let mut listed = 0usize;
+        for (key, p) in self.pages.iter() {
+            for m in &p.mappings {
+                let ctx = self.contexts.get(m.ctx).expect("mapping into dead context");
+                assert_eq!(
+                    ctx.mapped.get(&m.vpn),
+                    Some(&key),
+                    "mapping ({:?},{:?}) of page {key:?} missing from the vpn index",
+                    m.ctx,
+                    m.vpn
+                );
+                listed += 1;
+            }
+        }
+        let mut indexed = 0usize;
+        for (ck, c) in self.contexts.iter() {
+            assert_eq!(
+                self.mmu.mapped_count(c.mmu_ctx),
+                c.mapped.len(),
+                "{ck:?}: MMU mapped_count != vpn index size"
+            );
+            indexed += c.mapped.len();
+        }
+        assert_eq!(listed, indexed, "vpn index holds mappings no page lists");
+    }
+
     fn check_frames(&self) {
         assert_eq!(
-            self.phys.lock().stats().in_use as usize,
+            self.phys.stats().in_use as usize,
             self.pages.len() + self.reserved_frames.len() + self.landing.len(),
             "allocated frames != live pages + reserved pull frames + landing frames"
         );
@@ -275,14 +315,14 @@ impl PvmState {
         );
         for (&f, &p) in &self.frame_owner {
             assert!(
-                self.phys.lock().is_allocated(chorus_hal::FrameNo(f)),
+                self.phys.is_allocated(chorus_hal::FrameNo(f)),
                 "frame_owner lists unallocated frame {f}"
             );
             assert!(self.pages.contains(p), "frame_owner lists dead page");
         }
         for (&(cache, off), &f) in &self.reserved_frames {
             assert!(
-                self.phys.lock().is_allocated(f),
+                self.phys.is_allocated(f),
                 "reserved frame {} for ({cache:?},{off:#x}) not allocated",
                 f.0
             );
@@ -294,7 +334,7 @@ impl PvmState {
         }
         for (&(cache, off), &f) in &self.landing {
             assert!(
-                self.phys.lock().is_allocated(f),
+                self.phys.is_allocated(f),
                 "landing frame {} for ({cache:?},{off:#x}) not allocated",
                 f.0
             );
@@ -317,7 +357,7 @@ impl PvmState {
                 .get(rec.ctx)
                 .unwrap_or_else(|| panic!("large map for dead context {:?}", rec.ctx));
             assert!(
-                self.mmu.lock().has_large_mapping(ctx.mmu_ctx, rec.lvpn),
+                self.mmu.has_large_mapping(ctx.mmu_ctx, rec.lvpn),
                 "promotion record without MMU large mapping at lvpn {}",
                 rec.lvpn.0
             );

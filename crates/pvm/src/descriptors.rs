@@ -19,7 +19,7 @@
 use crate::keys::{CacheKey, CtxKey, PageKey, RegKey};
 use chorus_gmi::SegmentId;
 use chorus_hal::{FrameNo, MmuCtx, Prot, VirtAddr, Vpn};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A context descriptor: one protected virtual address space.
 #[derive(Debug)]
@@ -28,6 +28,11 @@ pub(crate) struct ContextDesc {
     pub mmu_ctx: MmuCtx,
     /// Regions of the context, sorted by start address (non-overlapping).
     pub regions: Vec<RegKey>,
+    /// Every installed base mapping of the context: vpn → mapped page.
+    /// The inverse of the pages' `mappings` lists, kept in step by the
+    /// map/unmap choke points of `state.rs`, so region teardown and
+    /// re-protection visit only the region's own mapped pages.
+    pub mapped: BTreeMap<Vpn, PageKey>,
     /// Running count of faults taken by this context, consulted by the
     /// OOM victim score (a hot context is a better kill than an idle
     /// one with the same footprint). Pure bookkeeping: never charged

@@ -1,50 +1,42 @@
-//! Independently lockable domains of the PVM (the `parallel_faults`
-//! decomposition).
+//! The PVM's locks and their order.
 //!
-//! Historically the whole PVM sat behind one `Mutex<PvmState>` — the
-//! classic Mach VM-lock wall. This module splits that monolith into
-//! *lock domains*, each a [`DomainLock`] that counts its acquisitions
-//! and contended acquisitions in the shared [`StatsRegistry`] (the same
-//! try-lock-then-lock idiom the global-map stripes use for
-//! `ShardContention`):
+//! Two tiers of locks guard the PVM:
 //!
-//! - the **state** domain: cache descriptors, regions, history trees,
-//!   the clock ring — everything that used to be the big mutex;
-//! - the **phys** domain: the buddy allocator and the frame-plane
-//!   metadata ([`chorus_hal::PhysicalMemory`]); the frame *bytes*
-//!   themselves live in the lock-free [`chorus_hal::FrameStore`] plane
-//!   and are touched outside every domain lock;
-//! - the **trans** domain: MMU contexts and hardware page tables.
-//!
-//! Per-cache *fault stripes* (plain mutexes on [`crate::Pvm`], hashed
-//! by cache key like the global-map shards) form the outermost domain
-//! ring when `parallel_faults` is on.
+//! - the **state lock**, a [`DomainLock`] around
+//!   [`crate::state::PvmState`]. It is the only lock on anything inside
+//!   the state: cache descriptors, regions, history trees, the policy
+//!   engine, the global map, the buddy allocator and frame metadata
+//!   ([`chorus_hal::PhysicalMemory`]) and the MMU. Those are plain
+//!   fields, reachable only through the guard (`PvmState` is `Send`
+//!   but need not be `Sync`), so the compiler rejects any access that
+//!   skips the lock. The frame *bytes* live in the lock-free
+//!   [`chorus_hal::FrameStore`] plane and the fault fast path reads the
+//!   lock-free translation cache; neither needs the state lock.
+//! - per-cache **fault stripes** (plain mutexes on [`crate::Pvm`],
+//!   hashed by cache key), the outer tier, taken only by the parallel
+//!   hard-fault driver when `parallel_faults` is on.
 //!
 //! # Lock order
 //!
 //! ```text
 //! fault stripe (at most one per thread, by cache-key hash)
-//!   → gmap shard (at most one, ascending by index inside gmap ops)
-//!     → state
-//!       → phys | trans   (leaf locks, never both wired into a cycle:
-//!                         phys and trans are only taken while state
-//!                         is held, and never one inside the other)
+//!   → state
 //! ```
 //!
-//! Cross-domain waits never hold a lock: the stub protocol
-//! (`Blocked::WaitStub` + the condvar on the state domain) and mapper
-//! upcalls both run with every domain released, exactly as the
-//! blocked-action driver always did. A stripe holder may *wait* only
-//! on the state lock, the 50 ms-bounded stub condvar, or a mapper
-//! upcall — never on another stripe — so the hierarchy is acyclic.
+//! Cross-lock waits never hold the state lock: the stub protocol
+//! (`Blocked::WaitStub` + the condvar on the state lock) and mapper
+//! upcalls both run with it released, exactly as the blocked-action
+//! driver always did. A stripe holder may *wait* only on the state
+//! lock, the 50 ms-bounded stub condvar, or a mapper upcall — never on
+//! another stripe — so the hierarchy is acyclic.
 
 use std::sync::Arc;
 
 use crate::stats::{Counter, StatsRegistry};
 use parking_lot::{Mutex, MutexGuard};
 
-/// A mutex fronting one lock domain, bumping the domain's acquisition
-/// and contention counters in the shared registry on every lock.
+/// A mutex bumping an acquisition and a contention counter in the
+/// shared registry on every lock (the state lock's wrapper).
 pub(crate) struct DomainLock<T: ?Sized> {
     stats: Arc<StatsRegistry>,
     acqs: Counter,
@@ -102,13 +94,13 @@ mod tests {
         let l = Arc::new(DomainLock::new(
             0u64,
             stats.clone(),
-            Counter::PhysLockAcqs,
-            Counter::PhysLockContended,
+            Counter::StateLockAcqs,
+            Counter::StateLockContended,
         ));
         *l.lock() += 1;
         *l.lock() += 1;
-        assert_eq!(stats.get(Counter::PhysLockAcqs), 2);
-        assert_eq!(stats.get(Counter::PhysLockContended), 0, "uncontended");
+        assert_eq!(stats.get(Counter::StateLockAcqs), 2);
+        assert_eq!(stats.get(Counter::StateLockContended), 0, "uncontended");
 
         // Force one contended acquisition: hold the lock in a thread
         // until the main thread has registered its attempt.
@@ -123,7 +115,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         drop(held);
         t.join().unwrap();
-        assert_eq!(stats.get(Counter::PhysLockAcqs), 4);
+        assert_eq!(stats.get(Counter::StateLockAcqs), 4);
         assert_eq!(*l.lock(), 3);
     }
 }

@@ -224,7 +224,7 @@ impl PvmState {
                 (true, Resolution::CowCopy)
             }
             Version::Zero => {
-                self.phys.lock().zero(frame);
+                self.phys.zero(frame);
                 self.stats.bump(Counter::ZeroFills);
                 // A demand-zero page is re-derivable; it only needs
                 // writeback once actually written.
@@ -250,7 +250,7 @@ impl PvmState {
     }
 
     fn fill_from(&mut self, src: FrameNo, dst: FrameNo) {
-        self.phys.lock().copy_frame(src, dst);
+        self.phys.copy_frame(src, dst);
     }
 
     /// Maps an own page with the protection appropriate for the access:

@@ -1,178 +1,90 @@
-//! The sharded global map (§4.1.1) and location-stub index.
+//! The global map (§4.1.1) and location-stub index.
 //!
-//! The paper's global map is the one structure every fault, pull, clean
-//! and copy touches, so on a multiprocessor it must not convoy on a
-//! single lock. This module lock-stripes the `(cache, offset) → Slot`
-//! table and the location-stub index across N mutex-protected shards
-//! hashed by [`chorus_hal::fx_hash_one`] of the key. Offsets are
-//! page-strided, so the Fx mix spreads consecutive pages of one cache
-//! across shards and two unrelated caches almost never share one.
+//! The paper's global map hashes every page slot by its cache and
+//! offset. It is one plain table: it lives inside
+//! [`crate::state::PvmState`], so the state lock is its only lock and
+//! the compiler rejects any access that does not go through the state
+//! guard. The lock-free fault fast path never reads it; it consults the
+//! translation cache ([`crate::fastpath`]) instead.
 //!
-//! **Ordering discipline:** any operation that must visit more than one
-//! shard (the `has_loc_stubs_from` cache-liveness scan, the snapshot
-//! helpers used by the invariant checker) visits shards in ascending
-//! index order and never holds two shard locks at once unless acquired
-//! in that order. Today the outer `Mutex<PvmState>` already serializes
-//! whole multi-shard *transactions* (history walks, copies); the shard
-//! locks exist so the lock-free fault fast path and future finer-grained
-//! entry points see a consistent per-entry view, and so contention on
-//! the map itself is measurable (`contention()`), not hidden.
+//! The location-stub index is ordered by (source cache, offset), so
+//! the cache-liveness question "does any location of this cache still
+//! have threaded stubs?" is one range probe, not a scan of every stub.
 
 use crate::descriptors::Slot;
 use crate::keys::CacheKey;
+use chorus_hal::FxHashMap;
+use std::collections::BTreeMap;
 
-/// One stub list keyed by its source location, as copied out by
-/// [`GlobalMap::loc_stubs_snapshot`].
-type LocStubEntry = ((CacheKey, u64), Vec<(CacheKey, u64)>);
-use crate::stats::{Counter, StatsRegistry};
-use chorus_hal::{fx_hash_one, FxHashMap};
-use parking_lot::{Mutex, MutexGuard};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+/// A (cache, offset) location.
+type Loc = (CacheKey, u64);
 
-/// One lock stripe: a slice of the slot table plus the location stubs
-/// whose *source* (cache, offset) hashes here.
+/// The global map: the `(cache, offset) → Slot` table plus the
+/// location-stub index.
 #[derive(Default)]
-struct Shard {
-    slots: FxHashMap<(CacheKey, u64), Slot>,
-    loc_stubs: FxHashMap<(CacheKey, u64), Vec<(CacheKey, u64)>>,
-}
-
-/// The lock-striped global map.
 pub(crate) struct GlobalMap {
-    shards: Box<[Mutex<Shard>]>,
-    mask: u64,
-    /// Live slot count across all shards, maintained on insert/remove so
-    /// `len()` — polled by the telemetry gauge sampler — never has to
-    /// sweep the stripes.
-    slot_count: AtomicUsize,
-    /// Shared counter registry; contended shard-lock acquisitions bump
-    /// `Counter::ShardContention` (exposed as
-    /// `PvmStats::shard_contention`).
-    stats: Arc<StatsRegistry>,
+    slots: FxHashMap<Loc, Slot>,
+    /// Per-page stubs whose source page is not resident, keyed by the
+    /// source location. Lists are never empty: the last unthread
+    /// removes the key.
+    loc_stubs: BTreeMap<Loc, Vec<Loc>>,
 }
 
 impl GlobalMap {
-    /// Creates a map with `shards` stripes, rounded up to a power of two
-    /// (and at least 1) so shard selection is a mask.
-    pub fn new(shards: usize, stats: Arc<StatsRegistry>) -> GlobalMap {
-        let n = shards.max(1).next_power_of_two();
-        GlobalMap {
-            shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
-            mask: (n - 1) as u64,
-            slot_count: AtomicUsize::new(0),
-            stats,
-        }
-    }
-
-    /// Number of stripes (power of two).
-    #[cfg(test)]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    #[inline]
-    fn shard_for(&self, key: &(CacheKey, u64)) -> &Mutex<Shard> {
-        &self.shards[(fx_hash_one(key) & self.mask) as usize]
-    }
-
-    /// Locks one shard, counting contention when the uncontended
-    /// try-lock misses.
-    #[inline]
-    fn lock<'a>(&'a self, m: &'a Mutex<Shard>) -> MutexGuard<'a, Shard> {
-        match m.try_lock() {
-            Some(g) => g,
-            None => {
-                self.stats.bump(Counter::ShardContention);
-                m.lock()
-            }
-        }
-    }
-
     // ----- slot table -------------------------------------------------------
 
     /// Looks up the slot at (cache, offset).
     pub fn get(&self, cache: CacheKey, off: u64) -> Option<Slot> {
-        let key = (cache, off);
-        self.lock(self.shard_for(&key)).slots.get(&key).copied()
+        self.slots.get(&(cache, off)).copied()
     }
 
     /// Installs a slot, returning the previous one.
-    pub fn insert(&self, cache: CacheKey, off: u64, slot: Slot) -> Option<Slot> {
-        let key = (cache, off);
-        let prev = self.lock(self.shard_for(&key)).slots.insert(key, slot);
-        if prev.is_none() {
-            self.slot_count.fetch_add(1, Ordering::Relaxed);
-        }
-        prev
+    pub fn insert(&mut self, cache: CacheKey, off: u64, slot: Slot) -> Option<Slot> {
+        self.slots.insert((cache, off), slot)
     }
 
     /// Removes the slot at (cache, offset), returning it.
-    pub fn remove(&self, cache: CacheKey, off: u64) -> Option<Slot> {
-        let key = (cache, off);
-        let prev = self.lock(self.shard_for(&key)).slots.remove(&key);
-        if prev.is_some() {
-            self.slot_count.fetch_sub(1, Ordering::Relaxed);
-        }
-        prev
+    pub fn remove(&mut self, cache: CacheKey, off: u64) -> Option<Slot> {
+        self.slots.remove(&(cache, off))
     }
 
-    /// Total live slots across all shards (one relaxed load).
+    /// Number of live slots.
     pub fn len(&self) -> usize {
-        self.slot_count.load(Ordering::Relaxed)
+        self.slots.len()
     }
 
-    /// Live slots per stripe, ascending shard order — the balance gauge
-    /// behind `pvmtop` (a skewed vector means one stripe convoys).
-    pub fn shard_occupancy(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| self.lock(s).slots.len())
-            .collect()
-    }
-
-    /// Copies out every (key, slot) pair, in ascending shard order, for
-    /// the invariant checker and debug dumps. Not a consistent global
-    /// snapshot unless the caller holds the state mutex.
-    pub fn slots_snapshot(&self) -> Vec<((CacheKey, u64), Slot)> {
-        let mut out = Vec::new();
-        for s in self.shards.iter() {
-            out.extend(self.lock(s).slots.iter().map(|(&k, &v)| (k, v)));
-        }
-        out
+    /// Every (key, slot) pair, for the invariant checker.
+    pub fn slots(&self) -> impl Iterator<Item = (Loc, Slot)> + '_ {
+        self.slots.iter().map(|(&k, &v)| (k, v))
     }
 
     // ----- location-stub index ----------------------------------------------
 
     /// Threads a per-page stub (dst cache, dst offset) onto the source
     /// location (cache, offset).
-    pub fn push_loc_stub(&self, cache: CacheKey, off: u64, dst: (CacheKey, u64)) {
-        let key = (cache, off);
-        self.lock(self.shard_for(&key))
-            .loc_stubs
-            .entry(key)
-            .or_default()
-            .push(dst);
+    pub fn push_loc_stub(&mut self, cache: CacheKey, off: u64, dst: Loc) {
+        self.loc_stubs.entry((cache, off)).or_default().push(dst);
     }
 
     /// Takes (and removes) every stub waiting on (cache, offset).
-    pub fn take_loc_stubs(&self, cache: CacheKey, off: u64) -> Vec<(CacheKey, u64)> {
-        let key = (cache, off);
-        self.lock(self.shard_for(&key))
-            .loc_stubs
-            .remove(&key)
-            .unwrap_or_default()
+    pub fn take_loc_stubs(&mut self, cache: CacheKey, off: u64) -> Vec<Loc> {
+        self.loc_stubs.remove(&(cache, off)).unwrap_or_default()
     }
 
     /// Unthreads one stub (dc, doff) from the list at (cache, offset).
     /// Returns true if the list existed and is now empty (and removed).
-    pub fn unthread_loc_stub(&self, cache: CacheKey, off: u64, dc: CacheKey, doff: u64) -> bool {
+    pub fn unthread_loc_stub(
+        &mut self,
+        cache: CacheKey,
+        off: u64,
+        dc: CacheKey,
+        doff: u64,
+    ) -> bool {
         let key = (cache, off);
-        let mut g = self.lock(self.shard_for(&key));
-        if let Some(list) = g.loc_stubs.get_mut(&key) {
+        if let Some(list) = self.loc_stubs.get_mut(&key) {
             list.retain(|&(c, o)| !(c == dc && o == doff));
             if list.is_empty() {
-                g.loc_stubs.remove(&key);
+                self.loc_stubs.remove(&key);
                 return true;
             }
         }
@@ -181,41 +93,29 @@ impl GlobalMap {
 
     /// True if exactly `dst` is threaded on (cache, offset) — invariant
     /// checking only.
-    pub fn loc_stub_registered(&self, cache: CacheKey, off: u64, dst: (CacheKey, u64)) -> bool {
-        let key = (cache, off);
-        self.lock(self.shard_for(&key))
-            .loc_stubs
-            .get(&key)
+    pub fn loc_stub_registered(&self, cache: CacheKey, off: u64, dst: Loc) -> bool {
+        self.loc_stubs
+            .get(&(cache, off))
             .is_some_and(|l| l.contains(&dst))
     }
 
     /// True if any stub is threaded on (cache, offset).
     pub fn has_loc_stubs_at(&self, cache: CacheKey, off: u64) -> bool {
-        let key = (cache, off);
-        self.lock(self.shard_for(&key))
-            .loc_stubs
-            .get(&key)
-            .is_some_and(|l| !l.is_empty())
+        self.loc_stubs.contains_key(&(cache, off))
     }
 
     /// True if any location anywhere in `cache` still has threaded stubs
-    /// (cache-liveness check; scans shards in ascending order).
+    /// (cache-liveness check): one probe of the ordered index.
     pub fn has_loc_stubs_from(&self, cache: CacheKey) -> bool {
-        self.shards.iter().any(|s| {
-            self.lock(s)
-                .loc_stubs
-                .iter()
-                .any(|(&(c, _), l)| c == cache && !l.is_empty())
-        })
+        self.loc_stubs
+            .range((cache, 0)..=(cache, u64::MAX))
+            .next()
+            .is_some()
     }
 
-    /// Copies out the whole stub index, ascending shard order.
-    pub fn loc_stubs_snapshot(&self) -> Vec<LocStubEntry> {
-        let mut out = Vec::new();
-        for s in self.shards.iter() {
-            out.extend(self.lock(s).loc_stubs.iter().map(|(&k, v)| (k, v.clone())));
-        }
-        out
+    /// The whole stub index, in (source cache, offset) order.
+    pub fn loc_stubs(&self) -> impl Iterator<Item = (Loc, &[Loc])> + '_ {
+        self.loc_stubs.iter().map(|(&k, v)| (k, v.as_slice()))
     }
 }
 
@@ -228,20 +128,9 @@ mod tests {
         (0..n).map(|i| Id::from_raw_parts(i, 1)).collect()
     }
 
-    fn map(shards: usize) -> GlobalMap {
-        GlobalMap::new(shards, Arc::new(StatsRegistry::new()))
-    }
-
     #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(map(0).shard_count(), 1);
-        assert_eq!(map(5).shard_count(), 8);
-        assert_eq!(map(16).shard_count(), 16);
-    }
-
-    #[test]
-    fn slots_roundtrip_across_shards() {
-        let m = map(8);
+    fn slots_roundtrip() {
+        let mut m = GlobalMap::default();
         let ks = keys(3);
         for (i, &c) in ks.iter().enumerate() {
             for o in 0..64u64 {
@@ -260,7 +149,7 @@ mod tests {
 
     #[test]
     fn loc_stub_threading() {
-        let m = map(4);
+        let mut m = GlobalMap::default();
         let ks = keys(2);
         let (src, dst) = (ks[0], ks[1]);
         m.push_loc_stub(src, 0, (dst, 8192));
@@ -273,5 +162,18 @@ mod tests {
         m.push_loc_stub(src, 8192, (dst, 0));
         assert_eq!(m.take_loc_stubs(src, 8192), vec![(dst, 0)]);
         assert!(m.take_loc_stubs(src, 8192).is_empty());
+    }
+
+    #[test]
+    fn has_loc_stubs_from_probes_only_its_cache() {
+        let mut m = GlobalMap::default();
+        let ks = keys(3);
+        // Stubs threaded on the neighbours (in key order) of ks[1],
+        // including at the extreme offsets, must not make ks[1] live.
+        m.push_loc_stub(ks[0], u64::MAX, (ks[2], 0));
+        m.push_loc_stub(ks[2], 0, (ks[0], 0));
+        assert!(!m.has_loc_stubs_from(ks[1]));
+        m.push_loc_stub(ks[1], u64::MAX, (ks[2], 8192));
+        assert!(m.has_loc_stubs_from(ks[1]));
     }
 }

@@ -584,7 +584,7 @@ impl PvmState {
                 crate::state::Outcome::Blocked(b) => return blocked(b),
             };
             let src_frame = self.page(page).frame;
-            self.phys.lock().copy_frame(src_frame, frame);
+            self.phys.copy_frame(src_frame, frame);
             let writable = !self.has_history_covering(h, h_off);
             self.create_page(h, h_off, frame, writable, true);
             self.stats.bump(Counter::HistoryPushes);
@@ -653,7 +653,7 @@ impl PvmState {
             crate::state::Outcome::Blocked(b) => return blocked(b),
         };
         let src_frame = self.page(page).frame;
-        self.phys.lock().copy_frame(src_frame, frame);
+        self.phys.copy_frame(src_frame, frame);
         let mut stubs = core::mem::take(&mut self.page_mut(page).stubs);
         let (first_cache, first_off) = stubs.remove(0);
         // The new page belongs to the first stub's cache; the remaining
@@ -873,7 +873,7 @@ impl PvmState {
             .iter()
             .map(|&o| (targets_of(self, o).len().saturating_sub(1)) as u64)
             .sum();
-        if (self.phys.lock().free_frames() as u64) < extra_frames {
+        if (self.phys.free_frames() as u64) < extra_frames {
             return;
         }
         for o in offsets {
@@ -886,9 +886,9 @@ impl PvmState {
                     // Copies for the additional aliases first (the frame
                     // data is still intact here).
                     for &co in rest {
-                        let frame = self.phys.lock().alloc().expect("reserved frame vanished");
+                        let frame = self.phys.alloc().expect("reserved frame vanished");
                         let src_frame = self.page(p).frame;
-                        self.phys.lock().copy_frame(src_frame, frame);
+                        self.phys.copy_frame(src_frame, frame);
                         let writable = !self.has_history_covering(child, co);
                         self.create_page(child, co, frame, writable, true);
                         self.charge(OpKind::HistoryOp);

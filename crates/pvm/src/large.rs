@@ -50,7 +50,7 @@ impl PvmState {
     /// knob-on optimization pass, not a modelled hardware walk; the one
     /// modelled charge is the `MapPage` of the large entry itself.
     pub(crate) fn maybe_promote(&mut self, ctx: CtxKey, vpn: Vpn, region: &RegionDesc) {
-        if !self.config.large_pages || !self.mmu.lock().supports_large() {
+        if !self.config.large_pages || !self.mmu.supports_large() {
             return;
         }
         let factor = self.geom.large_factor();
@@ -117,7 +117,7 @@ impl PvmState {
         }
         let Ok(cd) = self.ctx(ctx) else { return };
         let mmu_ctx = cd.mmu_ctx;
-        if !self.mmu.lock().map_large(mmu_ctx, lvpn, base_frame, prot) {
+        if !self.mmu.map_large(mmu_ctx, lvpn, base_frame, prot) {
             return;
         }
         self.large_maps.push(LargeMap {
@@ -144,7 +144,7 @@ impl PvmState {
         let rec = self.large_maps.swap_remove(idx);
         if let Ok(cd) = self.ctx(rec.ctx) {
             let mmu_ctx = cd.mmu_ctx;
-            self.mmu.lock().unmap_large(mmu_ctx, rec.lvpn);
+            self.mmu.unmap_large(mmu_ctx, rec.lvpn);
         }
         self.stats.bump(Counter::LargeDemotions);
         let va = rec.lvpn.0 * self.geom.large_page_size();
@@ -222,10 +222,7 @@ impl PvmState {
     pub(crate) fn reserve_pull_run(&mut self, cache: CacheKey, offset: u64) {
         let factor = self.geom.large_factor();
         let order = factor.trailing_zeros();
-        // Hoisted so the phys guard (a scrutinee temporary) is dropped
-        // before the match body runs.
-        let run = self.phys.lock().alloc_run_zeroed(order);
-        match run {
+        match self.phys.alloc_run_zeroed(order) {
             Some(base) => {
                 let ps = self.ps();
                 for k in 0..factor {
@@ -252,7 +249,7 @@ impl PvmState {
         let mut off = offset;
         while off < offset.saturating_add(size) {
             if let Some(frame) = self.reserved_frames.remove(&(cache, off)) {
-                self.phys.lock().release(frame);
+                self.phys.release(frame);
             }
             off += ps;
         }
@@ -271,7 +268,7 @@ impl PvmState {
             .collect();
         for k in stale {
             if let Some(frame) = self.reserved_frames.remove(&k) {
-                self.phys.lock().release(frame);
+                self.phys.release(frame);
             }
         }
     }

@@ -45,7 +45,7 @@ impl PvmState {
     pub fn alloc_frame_reserved(&mut self) -> Attempt<FrameNo> {
         let reserve = self.config.emergency_reserve_frames;
         if reserve > 0 {
-            let free = self.phys.lock().free_frames();
+            let free = self.phys.free_frames();
             if free > 0 && free <= reserve {
                 self.stats.bump(Counter::ReserveGrants);
             }
@@ -61,8 +61,8 @@ impl PvmState {
     fn alloc_frame_with_floor(&mut self, floor: u32) -> Attempt<FrameNo> {
         let mut oom_killed_once = false;
         loop {
-            if self.phys.lock().free_frames() > floor {
-                return done(self.phys.lock().alloc().expect("free frame count lied"));
+            if self.phys.free_frames() > floor {
+                return done(self.phys.alloc().expect("free frame count lied"));
             }
             if self.config.enable_pageout {
                 match self.select_victim() {
@@ -297,7 +297,7 @@ impl PvmState {
     /// the attempt retried, like any other blocked action.
     pub fn launder_attempt(&mut self, high: u32) -> Attempt<()> {
         loop {
-            if self.phys.lock().free_frames() >= high {
+            if self.phys.free_frames() >= high {
                 return done(());
             }
             match self.select_victim() {
@@ -410,7 +410,7 @@ impl PvmState {
         let Some((victim, resident, dirty, _)) = best else {
             return 0;
         };
-        let free_before = self.phys.lock().free_frames();
+        let free_before = self.phys.free_frames();
         // Caches the victim maps: once the context is gone they may
         // have no user left, making their resident pages freeable.
         let mut touched: Vec<crate::keys::CacheKey> = Vec::new();
@@ -454,6 +454,6 @@ impl PvmState {
             resident,
             dirty,
         });
-        (self.phys.lock().free_frames() - free_before) as u64
+        (self.phys.free_frames() - free_before) as u64
     }
 }

@@ -10,11 +10,10 @@
 //! pre-policy behaviour bit for bit: same sweep order, same
 //! `ClockFullSweeps` accounting, same window arithmetic.
 //!
-//! Lock order (PR 9 domains): every policy structure lives *inside*
-//! `PvmState` and is only touched under the state lock; policies never
-//! take the `phys`/`trans` domain locks themselves — mutable page state
-//! is reached through the `PolicyView` the caller passes in, which
-//! borrows the page arena under the same state-lock section.
+//! Locking: every policy structure lives *inside* `PvmState` and is
+//! only touched under the state lock — mutable page state is reached
+//! through the `PolicyView` the caller passes in, which borrows the
+//! page arena under the same state-lock section.
 
 use crate::clock::ClockRing;
 use crate::descriptors::{CacheDesc, PageDesc};

@@ -43,6 +43,10 @@ thread_local! {
     static HOLDS_STRIPE: core::cell::Cell<bool> = const { core::cell::Cell::new(false) };
 }
 
+/// Number of per-cache fault stripes of the parallel driver (a power
+/// of two, so stripe selection is a mask).
+const FAULT_STRIPES: usize = 16;
+
 /// Which MMU back-end to instantiate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MmuChoice {
@@ -82,10 +86,10 @@ impl Default for PvmOptions {
 
 /// The Paged Virtual memory Manager.
 pub struct Pvm {
-    /// The state lock domain (see [`crate::domains`] for the lock-order
-    /// discipline). With `parallel_faults` off this is the classic big
-    /// mutex in a counting wrapper; with it on it is one domain among
-    /// the stripes, the physical tier and the translation tier.
+    /// The state lock (see [`crate::domains`] for the lock-order
+    /// discipline): the only lock on everything inside `PvmState`.
+    /// With `parallel_faults` on, the per-cache fault stripes sit above
+    /// it.
     state: DomainLock<PvmState>,
     stub_cv: Condvar,
     seg_mgr: Arc<dyn SegmentManagerV2>,
@@ -119,16 +123,15 @@ pub struct Pvm {
     /// classic driver). Immutable after construction.
     parallel: bool,
     /// Per-cache fault stripes (outermost lock tier of the parallel
-    /// driver), hashed by cache key exactly like the global-map shards.
-    /// Empty unless `parallel` is set. Plain mutexes — acquisition and
-    /// contention are counted manually so the per-cache telemetry can
-    /// ride the same bump.
+    /// driver), hashed by cache key. Empty unless `parallel` is set.
+    /// Plain mutexes — acquisition and contention are counted manually
+    /// so the per-cache telemetry can ride the same bump.
     stripes: Box<[Mutex<()>]>,
     /// `stripes.len() - 1` (stripe count is a power of two).
     stripe_mask: u64,
     /// The lock-free frame byte plane, shared with the physical tier:
     /// the parallel `fillUp` writes pulled bytes into *landing frames*
-    /// through it without holding any domain lock.
+    /// through it without holding the state lock.
     store: Arc<FrameStore>,
 }
 
@@ -160,11 +163,7 @@ impl Pvm {
         // keeps the classic driver; the knob is inert (not invalid)
         // with the engine on.
         let parallel = options.config.parallel_faults && !options.config.async_upcalls;
-        let n_stripes = if parallel {
-            options.config.global_map_shards.next_power_of_two().max(1)
-        } else {
-            0
-        };
+        let n_stripes = if parallel { FAULT_STRIPES } else { 0 };
         let state = PvmState::new(geometry, phys, mmu, model.clone(), options.config);
         let fast = state.fast.clone();
         let stats = state.stats.clone();
@@ -200,8 +199,8 @@ impl Pvm {
     }
 
     /// Snapshot of the PVM event counters. Every counter — including
-    /// the lock-free fast-path and shard-contention cells — lives in
-    /// one atomic registry, so this never takes the state lock.
+    /// the lock-free fast-path cells — lives in one atomic registry, so
+    /// this never takes the state lock.
     pub fn stats(&self) -> PvmStats {
         self.stats.snapshot()
     }
@@ -267,18 +266,18 @@ impl Pvm {
 
     /// Number of free physical frames.
     pub fn free_frames(&self) -> u32 {
-        self.state.lock().phys.lock().free_frames()
+        self.state.lock().phys.free_frames()
     }
 
     /// Physical memory statistics.
     pub fn mem_stats(&self) -> chorus_hal::MemStats {
-        self.state.lock().phys.lock().stats()
+        self.state.lock().phys.stats()
     }
 
     /// Hit/miss statistics of the MMU's large-page TLB, if the backing
     /// MMU has a large level (`None` otherwise).
     pub fn large_tlb_stats(&self) -> Option<chorus_hal::TlbStats> {
-        self.state.lock().mmu.lock().large_tlb_stats()
+        self.state.lock().mmu.large_tlb_stats()
     }
 
     /// Number of currently installed large mappings.
@@ -355,7 +354,7 @@ impl Pvm {
         guard: parking_lot::MutexGuard<'a, PvmState>,
     ) -> parking_lot::MutexGuard<'a, PvmState> {
         let low = guard.config.writeback_low_frames;
-        if !guard.config.writeback_daemon || low == 0 || guard.phys.lock().free_frames() >= low {
+        if !guard.config.writeback_daemon || low == 0 || guard.phys.free_frames() >= low {
             return guard;
         }
         if self.laundering.swap(true, Ordering::Acquire) {
@@ -793,6 +792,12 @@ impl Pvm {
                 guard.stats.add(Counter::MapperRetries, retries);
                 guard.dim_mapper(segment, DimCounter::Retries, retries);
                 let ps = guard.ps();
+                // The faulting page's sync stub survives only if the
+                // mapper never delivered it. A delivered page may
+                // already be gone again (another thread flushed or
+                // evicted it before this re-lock); the retried attempt
+                // then simply pulls it anew.
+                let undelivered = guard.is_sync_stub(cache, offset);
                 // Clear any stub of the pulled range the mapper left
                 // unfilled — on failure this is also the waiter cleanup:
                 // every faulter asleep on one of these stubs wakes,
@@ -814,11 +819,7 @@ impl Pvm {
                         // One mapper round trip plus per-page transfer.
                         guard.charge(chorus_hal::OpKind::IpcOp);
                         guard.charge_n(chorus_hal::OpKind::SegmentIoPage, size / ps);
-                        if !matches!(
-                            guard.gmap.get(cache, offset),
-                            Some(crate::descriptors::Slot::Present(_))
-                        ) && guard.caches.contains(cache)
-                        {
+                        if undelivered && guard.caches.contains(cache) {
                             // The mapper never delivered the faulting page.
                             drop(guard);
                             self.stub_cv.notify_all();
@@ -1300,7 +1301,7 @@ impl PvmState {
                     let frame = self.page(p).frame;
                     let mut full = vec![0u8; self.ps() as usize];
                     full[..chunk.len()].copy_from_slice(chunk);
-                    self.phys.lock().write(frame, 0, &full);
+                    self.phys.write(frame, 0, &full);
                 }
                 crate::state::done(())
             }
@@ -1310,7 +1311,7 @@ impl PvmState {
                 // only the payload bytes need writing and the later
                 // promotion check sees consecutive frame numbers.
                 if let Some(frame) = self.reserved_frames.remove(&(cache, page_off)) {
-                    self.phys.lock().write(frame, 0, chunk);
+                    self.phys.write(frame, 0, chunk);
                     if let Some(Slot::Cow(src)) = self.slot(cache, page_off) {
                         self.unthread_cow_stub(cache, page_off, src);
                     }
@@ -1336,8 +1337,8 @@ impl PvmState {
                     Outcome::Blocked(b) => return crate::state::blocked(b),
                 };
                 // Partial trailing chunks are zero-padded.
-                self.phys.lock().zero(frame);
-                self.phys.lock().write(frame, 0, chunk);
+                self.phys.zero(frame);
+                self.phys.write(frame, 0, chunk);
                 if let Some(Slot::Cow(src)) = self.slot(cache, page_off) {
                     self.unthread_cow_stub(cache, page_off, src);
                 }
@@ -1365,7 +1366,7 @@ impl PvmState {
             match self.gmap.get(cache, page_off) {
                 Some(Slot::Present(p)) => {
                     let frame = self.page(p).frame;
-                    self.phys.lock().read(
+                    self.phys.read(
                         frame,
                         o - page_off,
                         &mut buf[cur as usize..(cur + in_page) as usize],
@@ -1405,7 +1406,7 @@ impl PvmState {
             match self.gmap.get(cache, page_off) {
                 Some(Slot::Present(p)) => {
                     let frame = self.page(p).frame;
-                    self.phys.lock().read(
+                    self.phys.read(
                         frame,
                         o - page_off,
                         &mut buf[cur as usize..(cur + in_page) as usize],
@@ -1827,7 +1828,7 @@ impl Pvm {
                     let frame = guard.page(p).frame;
                     let mut full = vec![0u8; guard.ps() as usize];
                     full[..chunk.len()].copy_from_slice(chunk);
-                    guard.phys.lock().write(frame, 0, &full);
+                    guard.phys.write(frame, 0, &full);
                 }
                 return Ok(true);
             }
@@ -1841,14 +1842,14 @@ impl Pvm {
                 // reserve-grant accounting included; a dry pool routes
                 // to the classic driver, which knows how to evict.
                 let reserve = guard.config.emergency_reserve_frames;
-                let free = guard.phys.lock().free_frames();
+                let free = guard.phys.free_frames();
                 if free == 0 {
                     return Ok(false);
                 }
                 if reserve > 0 && free <= reserve {
                     guard.stats.bump(Counter::ReserveGrants);
                 }
-                let frame = guard.phys.lock().alloc().expect("free frame count lied");
+                let frame = guard.phys.alloc().expect("free frame count lied");
                 guard.landing.insert((cache, page_off), frame);
                 (frame, false)
             }
@@ -1882,12 +1883,12 @@ impl Pvm {
             if guard.gmap.get(cache, page_off) == Some(Slot::Sync) {
                 guard.gmap.remove(cache, page_off);
             }
-            guard.phys.lock().release(frame);
+            guard.phys.release(frame);
             return Ok(true);
         }
         if let Some(Slot::Present(_)) = guard.slot(cache, page_off) {
             // A concurrent fill landed first; drop our frame.
-            guard.phys.lock().release(frame);
+            guard.phys.release(frame);
             return Ok(true);
         }
         if let Some(Slot::Cow(src)) = guard.slot(cache, page_off) {
@@ -1924,25 +1925,23 @@ impl Pvm {
             // Translate-or-fault loop for this chunk.
             let mut tries = 0;
             loop {
-                let guard = self.state.lock();
+                let mut guard = self.state.lock();
                 // An OOM-killed context reports the kill, not a bare
                 // "no such context", so MIX can reap the process.
                 guard.check_context_alive(key)?;
                 let mmu_ctx = guard.ctx(key)?.mmu_ctx;
-                let translated = guard.mmu.lock().translate(mmu_ctx, addr, access, false);
+                let translated = guard.mmu.translate(mmu_ctx, addr, access, false);
                 match translated {
                     Ok(pa) => {
                         match &mut buf {
                             AccessBuf::Read(b) => {
                                 guard
                                     .phys
-                                    .lock()
                                     .read_phys(pa, &mut b[cur as usize..cur as usize + n]);
                             }
                             AccessBuf::Write(b) => {
                                 guard
                                     .phys
-                                    .lock()
                                     .write_phys(pa, &b[cur as usize..cur as usize + n]);
                             }
                         }

@@ -136,8 +136,7 @@ impl PhaseLatency {
 /// One lock domain's global acquisition/contention totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DomainHeat {
-    /// Stable domain label (`state`, `phys`, `trans`, `stripe`,
-    /// `gmap`).
+    /// Stable domain label (`state` or `stripe`).
     pub domain: &'static str,
     /// Total acquisitions.
     pub acqs: u64,
@@ -183,11 +182,7 @@ pub struct PvmTop {
     pub phases: Vec<PhaseLatency>,
     /// The live gauge sample taken with the snapshot.
     pub sample: TelemetrySample,
-    /// Live slots per global-map stripe, ascending shard order (a
-    /// skewed vector means one stripe convoys).
-    pub gmap_shards: Vec<usize>,
-    /// Per-domain lock heat (state, phys, trans, fault stripes, gmap
-    /// shards), in a fixed order.
+    /// Per-domain lock heat (the state lock, then the fault stripes).
     pub lock_domains: Vec<DomainHeat>,
     /// The policy engine's identity and decision counters.
     pub policy: PolicyHeat,
@@ -309,16 +304,7 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
     use crate::stats::Counter as C;
     let lock_domains = vec![
         heat("state", C::StateLockAcqs, C::StateLockContended),
-        heat("phys", C::PhysLockAcqs, C::PhysLockContended),
-        heat("trans", C::TransLockAcqs, C::TransLockContended),
         heat("stripe", C::CacheStripeAcqs, C::CacheStripeContended),
-        // The gmap stripes count contention only (no acq counter —
-        // per-entry acquisitions are far too hot to meter twice).
-        DomainHeat {
-            domain: "gmap",
-            acqs: 0,
-            contended: state.stats.get(C::ShardContention),
-        },
     ];
 
     let policy = PolicyHeat {
@@ -338,7 +324,6 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
         mappers,
         phases,
         sample: state.live_sample(),
-        gmap_shards: state.gmap.shard_occupancy(),
         lock_domains,
         policy,
     }
@@ -360,12 +345,6 @@ pub fn render(top: &PvmTop, n: usize) -> String {
         s.clock_ring_pages,
         s.gmap_slots,
     ));
-    if let (Some(&lo), Some(&hi)) = (top.gmap_shards.iter().min(), top.gmap_shards.iter().max()) {
-        out.push_str(&format!(
-            "        gmap stripes: {} shards, occupancy {lo}..{hi}\n",
-            top.gmap_shards.len(),
-        ));
-    }
     if !top.lock_domains.is_empty() {
         out.push_str("        lock heat (contended/acqs):");
         for d in &top.lock_domains {
@@ -502,7 +481,6 @@ mod tests {
                 gmap_slots: 0,
                 reserve_free: 4,
             },
-            gmap_shards: vec![0, 0],
             lock_domains: vec![
                 DomainHeat {
                     domain: "state",

@@ -1,7 +1,7 @@
 //! Context and region management (Table 2 operations).
 
 use crate::descriptors::{ContextDesc, RegionDesc, Slot};
-use crate::keys::{CtxKey, RegKey};
+use crate::keys::{CtxKey, PageKey, RegKey};
 use crate::state::{blocked, done, Attempt, PvmState};
 use chorus_gmi::{GmiError, RegionStatus, Result};
 use chorus_hal::{OpKind, Prot, VirtAddr, Vpn};
@@ -9,11 +9,12 @@ use chorus_hal::{OpKind, Prot, VirtAddr, Vpn};
 impl PvmState {
     /// `contextCreate()`.
     pub fn context_create_locked(&mut self) -> CtxKey {
-        let mmu_ctx = self.mmu.lock().ctx_create();
+        let mmu_ctx = self.mmu.ctx_create();
         self.charge(OpKind::ObjectCreate);
         self.contexts.insert(ContextDesc {
             mmu_ctx,
             regions: Vec::new(),
+            mapped: Default::default(),
             recent_faults: 0,
         })
     }
@@ -31,7 +32,7 @@ impl PvmState {
         // the promotion records (and counters) need dropping here.
         self.drop_large_maps_of_ctx(ctx);
         let desc = self.contexts.remove(ctx).expect("context vanished");
-        self.mmu.lock().ctx_destroy(desc.mmu_ctx);
+        self.mmu.ctx_destroy(desc.mmu_ctx);
         // `ctx_destroy` drops every remaining MMU mapping of the context
         // wholesale; invalidate the whole translation cache rather than
         // enumerating them (a context dies rarely; a stale entry would be
@@ -47,7 +48,7 @@ impl PvmState {
     /// `context.switch()`.
     pub fn context_switch_locked(&mut self, ctx: CtxKey) -> Result<()> {
         let mmu_ctx = self.ctx(ctx)?.mmu_ctx;
-        self.mmu.lock().switch(mmu_ctx);
+        self.mmu.switch(mmu_ctx);
         self.current = Some(ctx);
         Ok(())
     }
@@ -113,7 +114,7 @@ impl PvmState {
         if region.locked {
             return Err(GmiError::Locked);
         }
-        self.unmap_region_range(&region, reg);
+        self.unmap_region_range(&region);
         // The paper: "destruction requires the invalidation of the
         // corresponding portion of the virtual address space" — the one
         // size-dependent cost of region teardown.
@@ -131,24 +132,20 @@ impl PvmState {
         Ok(())
     }
 
-    /// Removes every MMU mapping inside a region (management structures
-    /// are proportional to resident pages, so this scans the page arena,
-    /// not the virtual range).
-    fn unmap_region_range(&mut self, region: &RegionDesc, _reg: RegKey) {
+    /// The region's installed base mappings, (vpn, page) in vpn order:
+    /// a range probe of the context's vpn index, so the cost is the
+    /// region's own mapped pages, not the resident set.
+    fn region_mappings(&self, region: &RegionDesc) -> Vec<(Vpn, PageKey)> {
         let lo = self.geom.vpn(region.addr);
         let hi = self.geom.vpn(VirtAddr(region.addr.0 + region.size - 1));
-        let hits: Vec<(crate::keys::PageKey, Vpn)> = self
-            .pages
-            .iter()
-            .flat_map(|(k, p)| {
-                p.mappings
-                    .iter()
-                    .filter(|m| m.ctx == region.ctx && m.vpn >= lo && m.vpn <= hi)
-                    .map(move |m| (k, m.vpn))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for (_page, vpn) in hits {
+        self.ctx(region.ctx)
+            .map(|c| c.mapped.range(lo..=hi).map(|(&v, &p)| (v, p)).collect())
+            .unwrap_or_default()
+    }
+
+    /// Removes every MMU mapping inside a region.
+    fn unmap_region_range(&mut self, region: &RegionDesc) {
+        for (vpn, _) in self.region_mappings(region) {
             self.unmap_va(region.ctx, vpn);
         }
     }
@@ -214,18 +211,15 @@ impl PvmState {
             r.prot = prot;
             r.clone()
         };
-        let lo = self.geom.vpn(region.addr);
-        let hi = self.geom.vpn(VirtAddr(region.addr.0 + region.size - 1));
-        let pages: Vec<crate::keys::PageKey> = self
-            .pages
-            .iter()
-            .filter(|(_, p)| {
-                p.mappings
-                    .iter()
-                    .any(|m| m.ctx == region.ctx && m.vpn >= lo && m.vpn <= hi)
-            })
-            .map(|(k, _)| k)
+        // Each page once: per-page stubs can map one page at two vpns
+        // of the region.
+        let mut pages: Vec<PageKey> = self
+            .region_mappings(&region)
+            .into_iter()
+            .map(|(_, p)| p)
             .collect();
+        pages.sort_unstable();
+        pages.dedup();
         for p in pages {
             self.reprotect_mappings(p);
         }

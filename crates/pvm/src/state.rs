@@ -1,7 +1,9 @@
 //! The locked PVM state and its core bookkeeping helpers.
 //!
 //! All descriptor arenas, the global map, and the machine state (frame
-//! pool + MMU) live behind one mutex in [`crate::Pvm`]. Operations that
+//! pool + MMU) live behind one mutex in [`crate::Pvm`] — the only lock
+//! on any of them: they are plain fields, reachable only through the
+//! state guard, so the compiler enforces the discipline. Operations that
 //! must block (waiting on a synchronization page stub, performing a
 //! `pullIn`/`pushOut` upcall) never sleep while holding the lock: an
 //! *attempt* runs under the lock and either completes or returns a
@@ -10,7 +12,6 @@
 
 use crate::config::PvmConfig;
 use crate::descriptors::{CacheDesc, ContextDesc, CowSource, Mapping, PageDesc, RegionDesc, Slot};
-use crate::domains::DomainLock;
 use crate::fastpath::TranslationCache;
 use crate::gmap::GlobalMap;
 use crate::keys::{CacheKey, CtxKey, PageKey, RegKey};
@@ -159,21 +160,19 @@ pub(crate) enum StubsTo {
 /// The PVM state proper (everything behind the lock).
 pub(crate) struct PvmState {
     pub geom: PageGeometry,
-    /// The physical-tier lock domain: buddy allocator + frame metadata.
-    /// Guards must stay single-statement (parking_lot is non-reentrant);
-    /// lock order is state → phys, never the reverse.
-    pub phys: DomainLock<PhysicalMemory>,
-    /// The translation lock domain: MMU contexts + page tables. Same
-    /// single-statement guard discipline; lock order state → trans.
-    pub mmu: DomainLock<Box<dyn Mmu>>,
+    /// The buddy allocator and frame metadata. The frame *bytes* live
+    /// in the lock-free [`chorus_hal::FrameStore`] plane.
+    pub phys: PhysicalMemory,
+    /// MMU contexts and hardware page tables.
+    pub mmu: Box<dyn Mmu>,
     pub model: Arc<CostModel>,
     pub contexts: Arena<ContextDesc>,
     pub regions: Arena<RegionDesc>,
     pub caches: Arena<CacheDesc>,
     pub pages: Arena<PageDesc>,
-    /// The global map (§4.1.1), lock-striped by (cache, offset); also
-    /// holds the location-stub index (per-virtual-page stubs whose
-    /// source page is not resident, re-threaded at the next pull).
+    /// The global map (§4.1.1); also holds the location-stub index
+    /// (per-virtual-page stubs whose source page is not resident,
+    /// re-threaded at the next pull).
     pub gmap: GlobalMap,
     /// The lock-free resident translation cache consulted by
     /// `handle_fault` before the state mutex (shared with `Pvm`).
@@ -189,7 +188,7 @@ pub(crate) struct PvmState {
     pub current: Option<CtxKey>,
     pub config: PvmConfig,
     /// The live counter cells, shared with the translation cache, the
-    /// global map, the tracer and `Pvm` (lock-free snapshots).
+    /// tracer and `Pvm` (lock-free snapshots).
     pub stats: Arc<StatsRegistry>,
     /// The event tracer, shared with `Pvm` and (for correlation) the
     /// nucleus mapper layers.
@@ -213,7 +212,7 @@ pub(crate) struct PvmState {
     pub reserved_frames: FxHashMap<(CacheKey, u64), FrameNo>,
     /// Landing frames of the parallel `fillUp` protocol: allocated (or
     /// claimed from `reserved_frames`) under one state-lock section,
-    /// filled from the mapper's bytes *outside every domain lock*, and
+    /// filled from the mapper's bytes *outside the state lock*, and
     /// threaded into a page descriptor under a second section. An entry
     /// here is the filling thread's exclusive property — no other path
     /// reads, maps or releases a landing frame. Empty unless
@@ -246,24 +245,14 @@ impl PvmState {
         let telemetry = Arc::new(Telemetry::new(config.telemetry));
         PvmState {
             geom,
-            phys: DomainLock::new(
-                phys,
-                stats.clone(),
-                Counter::PhysLockAcqs,
-                Counter::PhysLockContended,
-            ),
-            mmu: DomainLock::new(
-                mmu,
-                stats.clone(),
-                Counter::TransLockAcqs,
-                Counter::TransLockContended,
-            ),
+            phys,
+            mmu,
             model,
             contexts: Arena::new(),
             regions: Arena::new(),
             caches: Arena::new(),
             pages: Arena::new(),
-            gmap: GlobalMap::new(config.global_map_shards, stats.clone()),
+            gmap: GlobalMap::default(),
             fast: Arc::new(TranslationCache::new(
                 config.fast_path,
                 stats.clone(),
@@ -567,20 +556,23 @@ impl PvmState {
             },
         );
         if release_frame {
-            self.phys.lock().release(desc.frame);
+            self.phys.release(desc.frame);
         }
         desc.frame
     }
 
     // ----- mapping bookkeeping ----------------------------------------------
 
-    /// Enters a mapping in the MMU and records it on the page.
+    /// Enters a mapping in the MMU and records it on the page and in the
+    /// context's vpn index.
     pub fn map_page(&mut self, key: PageKey, ctx: CtxKey, vpn: Vpn, prot: Prot, via: CacheKey) {
         // Remove any previous mapping at this (ctx, vpn) first.
         self.unmap_va(ctx, vpn);
-        let mmu_ctx = self.ctx(ctx).expect("mapping into dead context").mmu_ctx;
+        let desc = self.ctx_mut(ctx).expect("mapping into dead context");
+        desc.mapped.insert(vpn, key);
+        let mmu_ctx = desc.mmu_ctx;
         let frame = self.page(key).frame;
-        self.mmu.lock().map(mmu_ctx, vpn, frame, prot);
+        self.mmu.map(mmu_ctx, vpn, frame, prot);
         let page = self.page_mut(key);
         page.mappings.push(Mapping { ctx, vpn, via });
         page.ref_bit = true;
@@ -597,15 +589,17 @@ impl PvmState {
     /// its page descriptor.
     pub fn unmap_va(&mut self, ctx: CtxKey, vpn: Vpn) {
         self.demote_covering_va(ctx, vpn);
-        let Ok(desc) = self.ctx(ctx) else { return };
+        let Some(desc) = self.contexts.get_mut(ctx) else {
+            return;
+        };
+        let owner = desc.mapped.remove(&vpn);
         let mmu_ctx = desc.mmu_ctx;
-        let unmapped = self.mmu.lock().unmap(mmu_ctx, vpn);
-        if let Some(frame) = unmapped {
+        if self.mmu.unmap(mmu_ctx, vpn).is_some() {
             self.fast.remove(ctx, vpn);
-            if let Some(&owner) = self.frame_owner.get(&frame.0) {
-                let page = self.page_mut(owner);
-                page.mappings.retain(|m| !(m.ctx == ctx && m.vpn == vpn));
-            }
+        }
+        if let Some(owner) = owner {
+            let page = self.page_mut(owner);
+            page.mappings.retain(|m| !(m.ctx == ctx && m.vpn == vpn));
         }
     }
 
@@ -613,12 +607,7 @@ impl PvmState {
     pub fn unmap_all(&mut self, key: PageKey) {
         let mappings = core::mem::take(&mut self.page_mut(key).mappings);
         for m in mappings {
-            self.demote_covering_va(m.ctx, m.vpn);
-            self.fast.remove(m.ctx, m.vpn);
-            if let Ok(desc) = self.ctx(m.ctx) {
-                let mmu_ctx = desc.mmu_ctx;
-                self.mmu.lock().unmap(mmu_ctx, m.vpn);
-            }
+            self.drop_mapping(m);
         }
     }
 
@@ -626,17 +615,7 @@ impl PvmState {
     /// one particular cache — used when that cache materializes its own
     /// version, so stale read mappings of the old version re-fault.
     pub fn unmap_via(&mut self, key: PageKey, via: CacheKey) {
-        let (keep, drop): (Vec<Mapping>, Vec<Mapping>) =
-            self.page(key).mappings.iter().partition(|m| m.via != via);
-        for m in &drop {
-            self.demote_covering_va(m.ctx, m.vpn);
-            self.fast.remove(m.ctx, m.vpn);
-            if let Ok(desc) = self.ctx(m.ctx) {
-                let mmu_ctx = desc.mmu_ctx;
-                self.mmu.lock().unmap(mmu_ctx, m.vpn);
-            }
-        }
-        self.page_mut(key).mappings = keep;
+        self.unmap_where(key, |m| m.via == via);
     }
 
     /// Shoots down mappings of a page established through caches other
@@ -644,17 +623,30 @@ impl PvmState {
     /// the owner's copy is modified in place.
     pub fn unmap_foreign(&mut self, key: PageKey) {
         let owner = self.page(key).cache;
-        let (keep, drop): (Vec<Mapping>, Vec<Mapping>) =
-            self.page(key).mappings.iter().partition(|m| m.via == owner);
-        for m in &drop {
-            self.demote_covering_va(m.ctx, m.vpn);
-            self.fast.remove(m.ctx, m.vpn);
-            if let Ok(desc) = self.ctx(m.ctx) {
-                let mmu_ctx = desc.mmu_ctx;
-                self.mmu.lock().unmap(mmu_ctx, m.vpn);
-            }
+        self.unmap_where(key, |m| m.via != owner);
+    }
+
+    /// Shoots down the mappings of a page selected by `drop`.
+    fn unmap_where(&mut self, key: PageKey, drop: impl Fn(&Mapping) -> bool) {
+        let (dropped, keep): (Vec<Mapping>, Vec<Mapping>) =
+            self.page(key).mappings.iter().partition(|m| drop(m));
+        for m in dropped {
+            self.drop_mapping(m);
         }
         self.page_mut(key).mappings = keep;
+    }
+
+    /// Tears down one mapping already detached from its page's list:
+    /// demotes a covering large mapping, revokes the fast-path entry,
+    /// drops the vpn from the context's index and unmaps it in the MMU.
+    fn drop_mapping(&mut self, m: Mapping) {
+        self.demote_covering_va(m.ctx, m.vpn);
+        self.fast.remove(m.ctx, m.vpn);
+        if let Some(desc) = self.contexts.get_mut(m.ctx) {
+            desc.mapped.remove(&m.vpn);
+            let mmu_ctx = desc.mmu_ctx;
+            self.mmu.unmap(mmu_ctx, m.vpn);
+        }
     }
 
     /// Re-applies the protection of every current mapping of a page,
@@ -683,7 +675,7 @@ impl PvmState {
                 region_prot.remove(Prot::WRITE)
             };
             let mmu_ctx = self.ctx(m.ctx).expect("mapping into dead context").mmu_ctx;
-            self.mmu.lock().protect(mmu_ctx, m.vpn, eff);
+            self.mmu.protect(mmu_ctx, m.vpn, eff);
             // Refresh the fast-path entry to the narrowed protection so
             // a revoked right cannot be satisfied lock-free.
             let frame = self.page(key).frame;
@@ -781,11 +773,11 @@ impl PvmState {
     /// model (`free_frames`/`free_blocks_per_order`/`len` are plain
     /// reads, and the gmap is consulted via its uncharged `len`).
     pub fn live_sample(&self) -> TelemetrySample {
-        let free = self.phys.lock().free_frames();
+        let free = self.phys.free_frames();
         TelemetrySample {
             sim_ns: self.model.now().nanos(),
             free_frames: free,
-            free_blocks_per_order: self.phys.lock().free_blocks_per_order(),
+            free_blocks_per_order: self.phys.free_blocks_per_order(),
             inflight_upcalls: self.engine.inflight(),
             pending_pulls: self.engine.pending_pulls.len() as u64,
             clock_ring_pages: self.policy.tracked() as u64,

@@ -2,9 +2,9 @@
 //!
 //! The registry ([`StatsRegistry`]) is one cache of atomic cells shared
 //! by every counting site — the locked slow path, the lock-free fault
-//! fast path, the global-map shards and the tracer all bump the *same*
-//! cells, so no counter can lose updates to a non-atomic read-modify-
-//! write and no fold-at-snapshot step has to reconcile divergent copies.
+//! fast path and the tracer all bump the *same* cells, so no counter
+//! can lose updates to a non-atomic read-modify-write and no
+//! fold-at-snapshot step has to reconcile divergent copies.
 //! [`PvmStats`] survives as the plain snapshot view the tests and
 //! benches always consumed; [`PvmStats::delta`] subtracts an earlier
 //! snapshot for before/after measurements.
@@ -39,6 +39,14 @@ macro_rules! counters {
         /// stub waits, zombie merges, ...). This is a point-in-time
         /// *snapshot* of the live [`StatsRegistry`]; take one with
         /// [`crate::Pvm::stats`].
+        ///
+        /// Five fields always read 0 and stay only so existing reports
+        /// keep their columns: `shard_contention`, `phys_lock_acqs`,
+        /// `phys_lock_contended`, `trans_lock_acqs` and
+        /// `trans_lock_contended`. They counted the global-map shard
+        /// locks and the phys/MMU locks, which no longer exist — the
+        /// global map, the frame pool and the MMU are plain fields
+        /// behind the state lock.
         #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
         pub struct PvmStats {
             $($(#[$doc])* pub $field: u64,)*
@@ -122,8 +130,8 @@ counters! {
     /// Fast-path lookups that missed (stale generation, absent entry,
     /// or insufficient protection) and fell through to the slow path.
     fast_path_fallbacks => FastPathFallbacks,
-    /// Global-map shard locks that were contended (the uncontended
-    /// try-lock missed and the caller blocked).
+    /// Always 0: the global map has no lock of its own (the state lock
+    /// guards it).
     shard_contention => ShardContention,
     /// Full clock-hand sweeps completed while hunting an eviction
     /// victim (each pass over the whole ring counts once).
@@ -195,21 +203,21 @@ counters! {
     /// Deterministic sim-time gauge samples recorded by the telemetry
     /// sampler (dimensional telemetry knob on; see [`crate::telemetry`]).
     telemetry_samples => TelemetrySamples,
-    /// Acquisitions of the state lock domain (cache/region/history
-    /// bookkeeping — the classic big mutex, now one domain of several).
+    /// Acquisitions of the state lock, the one lock on every PVM
+    /// structure (descriptors, global map, frame pool, MMU).
     state_lock_acqs => StateLockAcqs,
-    /// State-domain acquisitions that were contended (the uncontended
+    /// State-lock acquisitions that were contended (the uncontended
     /// try-lock missed and the caller blocked).
     state_lock_contended => StateLockContended,
-    /// Acquisitions of the physical-tier lock domain (buddy allocator
-    /// and frame-plane metadata).
+    /// Always 0: the frame pool has no lock of its own (the state lock
+    /// guards it).
     phys_lock_acqs => PhysLockAcqs,
-    /// Physical-tier acquisitions that were contended.
+    /// Always 0 (see `phys_lock_acqs`).
     phys_lock_contended => PhysLockContended,
-    /// Acquisitions of the translation lock domain (MMU contexts and
-    /// hardware page tables).
+    /// Always 0: the MMU has no lock of its own (the state lock guards
+    /// it).
     trans_lock_acqs => TransLockAcqs,
-    /// Translation-domain acquisitions that were contended.
+    /// Always 0 (see `trans_lock_acqs`).
     trans_lock_contended => TransLockContended,
     /// Per-cache fault-stripe acquisitions by the parallel hard-fault
     /// driver (`parallel_faults` knob on; disjoint caches hash to
@@ -361,7 +369,7 @@ mod tests {
                 let r = r.clone();
                 std::thread::spawn(move || {
                     for _ in 0..10_000 {
-                        r.bump(Counter::ShardContention);
+                        r.bump(Counter::FastPathHits);
                     }
                 })
             })
@@ -369,6 +377,6 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(r.get(Counter::ShardContention), 40_000);
+        assert_eq!(r.get(Counter::FastPathHits), 40_000);
     }
 }

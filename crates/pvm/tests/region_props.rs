@@ -4,7 +4,8 @@
 
 mod common;
 
-use chorus_gmi::{Gmi, GmiError, Prot, RegionId, VirtAddr};
+use chorus_gmi::{Access, Gmi, GmiError, Prot, RegionId, VirtAddr};
+use chorus_hal::OpKind;
 use proptest::prelude::*;
 
 const PS: u64 = common::PS;
@@ -115,7 +116,11 @@ proptest! {
 
     /// Mapped access through regions (windows at arbitrary page-aligned
     /// segment offsets) agrees with a flat-memory oracle, including
-    /// across region splits and re-creations.
+    /// across region splits and re-creations. Then a second context
+    /// maps the same window, and destroying or re-protecting the pages
+    /// `[lo, hi]` of the first context's region touches exactly those
+    /// mapped pages — both boundaries included — and leaves the second
+    /// context's MMU mappings and fast-path entries intact.
     #[test]
     fn mapped_access_matches_flat_oracle(
         writes in proptest::collection::vec(
@@ -123,6 +128,7 @@ proptest! {
             1..40,
         ),
         window_page in 0..8u8,
+        teardown in (0..16u64, 0..16u64, any::<bool>()),
     ) {
         let (pvm, _) = common::setup(64);
         let ctx = pvm.context_create().unwrap();
@@ -131,7 +137,7 @@ proptest! {
         let win_off = window_page as u64 * PS;
         let base = VirtAddr(0x4_0000);
         let size = 16 * PS;
-        pvm.region_create(ctx, base, size, Prot::RW, cache, win_off).unwrap();
+        let region = pvm.region_create(ctx, base, size, Prot::RW, cache, win_off).unwrap();
         let mut oracle = vec![0u8; size as usize];
 
         for (off, len, seed) in writes {
@@ -150,5 +156,65 @@ proptest! {
         let mut through_cache = vec![0u8; size as usize];
         pvm.cache_read(cache, win_off, &mut through_cache).unwrap();
         prop_assert_eq!(&through_cache, &oracle);
+
+        // Context B maps the same window; its full read maps all 16
+        // pages, as A's full read above did.
+        let other = pvm.context_create().unwrap();
+        pvm.region_create(other, base, size, Prot::RW, cache, win_off).unwrap();
+        pvm.vm_read(other, base, &mut got).unwrap();
+        // Carve A's pages [lo, hi] into a region of their own.
+        let (a, b, reprotect) = teardown;
+        let (lo, hi) = (a.min(b), a.max(b));
+        let page_va = |p: u64| VirtAddr(base.0 + p * PS);
+        let mut mid = region;
+        if lo > 0 {
+            mid = pvm.region_split(mid, lo * PS).unwrap();
+        }
+        if hi + 1 < 16 {
+            pvm.region_split(mid, (hi + 1 - lo) * PS).unwrap();
+        }
+        let model = pvm.cost_model();
+        let (unmaps, protects) = (model.count(OpKind::UnmapPage), model.count(OpKind::ProtectPage));
+        if reprotect {
+            pvm.region_set_protection(mid, Prot::READ).unwrap();
+        } else {
+            pvm.region_destroy(mid).unwrap();
+        }
+        let touched = hi - lo + 1;
+        if reprotect {
+            // Each page's mappings are re-applied: A's narrowed, B's
+            // recomputed from B's own (unchanged) region.
+            prop_assert_eq!(model.count(OpKind::ProtectPage) - protects, 2 * touched);
+            prop_assert_eq!(model.count(OpKind::UnmapPage), unmaps);
+        } else {
+            prop_assert_eq!(model.count(OpKind::UnmapPage) - unmaps, touched);
+            prop_assert_eq!(model.count(OpKind::ProtectPage), protects);
+        }
+        // Both boundary pages of A took the change.
+        let mut byte = [0u8; 1];
+        for p in [lo, hi] {
+            if reprotect {
+                prop_assert!(pvm.vm_write(ctx, page_va(p), &[1]).is_err(), "page {p} still writable");
+            } else {
+                prop_assert!(pvm.vm_read(ctx, page_va(p), &mut byte).is_err(), "page {p} still mapped");
+            }
+        }
+        // A's pages outside [lo, hi] and every page of B are still
+        // mapped: reading them takes no fault.
+        let faults = pvm.stats().faults;
+        for p in (0..16).filter(|&p| p < lo || p > hi) {
+            pvm.vm_read(ctx, page_va(p), &mut byte).unwrap();
+        }
+        pvm.vm_read(other, base, &mut got).unwrap();
+        prop_assert_eq!(&got, &oracle);
+        prop_assert_eq!(pvm.stats().faults, faults);
+        // B's fast-path entries over [lo, hi] survived: each fault there
+        // is a lock-free hit.
+        let hits = pvm.stats().fast_path_hits;
+        for p in lo..=hi {
+            pvm.handle_fault(other, page_va(p), Access::Read).unwrap();
+        }
+        prop_assert_eq!(pvm.stats().fast_path_hits - hits, touched);
+        pvm.check_invariants();
     }
 }

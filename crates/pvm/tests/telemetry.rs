@@ -204,11 +204,6 @@ fn pvmtop_ranks_the_hot_cache_first() {
     // phase table is present (empty without tracing) and the gauge
     // sample is coherent.
     assert_eq!(top.sample.sim_ns, top.sim_ns);
-    assert!(!top.gmap_shards.is_empty());
-    assert_eq!(
-        top.gmap_shards.iter().sum::<usize>() as u64,
-        top.sample.gmap_slots
-    );
 }
 
 #[test]

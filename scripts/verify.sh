@@ -2,7 +2,8 @@
 # Tier-1 verification wrapper for this workspace.
 #
 # Runs the full check sequence from .claude/skills/verify/SKILL.md:
-# release build, test suite, format gate, clippy gate, doc gate
+# release build, root test suite, every crate's test suite, format
+# gate, clippy gate, doc gate
 # (rustdoc warnings are errors), the fast-path liveness probe, the
 # writeback-pipeline smoke (clustering must cut pushOut requests >=4x
 # and the daemon must shrink demand evict stalls), the async-upcall
@@ -50,6 +51,11 @@ cargo build --release
 
 step "cargo test -q"
 cargo test -q
+
+step "cargo test --workspace --no-fail-fast"
+# Every crate's tests, not only the root package's: the PVM, HAL,
+# GMI, nucleus, MIX and comparator crates carry most of the suite.
+cargo test --workspace --no-fail-fast
 
 step "cargo fmt --check"
 cargo fmt --check
