@@ -87,11 +87,7 @@ fn run_config(shape: &Shape, engine: bool, max_inflight: u64) -> Row {
                         .push_cluster_pages(PUSH_CLUSTER)
                 })
                 .r#async(|a| a.async_upcalls(engine).max_inflight_upcalls(max_inflight))
-                .pressure(|pr| {
-                    pr.writeback_daemon(true)
-                        .writeback_low_frames(LOW)
-                        .writeback_high_frames(HIGH)
-                })
+                .pressure(|pr| pr.writeback_low_frames(LOW).writeback_high_frames(HIGH))
                 .telemetry(|t| {
                     t.trace(TraceConfig {
                         enabled: true,

@@ -82,11 +82,7 @@ fn run_config(shape: &Shape, large_pages: bool) -> Row {
                         .pull_cluster_pages(FACTOR)
                         .readahead_max_pages(FACTOR)
                 })
-                .large_pages(|l| {
-                    l.buddy_runs(large_pages)
-                        .large_pages(large_pages)
-                        .promote_threshold_pages(FACTOR)
-                })
+                .large_pages(|l| l.large_pages(large_pages).promote_threshold_pages(FACTOR))
                 .telemetry(|t| t.trace(TraceConfig::from_env()))
                 .build()
                 .expect("valid config"),

@@ -4,7 +4,8 @@
 //!
 //! * `scale` — repeated sequential read scans of a working set three
 //!   times the frame pool: the classic sequential-flood case where
-//!   recency protection cannot help and clustered readahead dominates;
+//!   recency protection cannot help and clustered readahead dominates
+//!   (the only scenario that races the readahead selection);
 //! * `writeback` — dirty rewrite scans with the writeback daemon and
 //!   `pushOut` clustering on: victim choice decides how often the
 //!   pageout pipeline runs against dirty pages;
@@ -13,9 +14,9 @@
 //!   (LRU, WSClock, ARC) keep the hot set resident and fault less.
 //!
 //! Every combination self-checks its bytes against the generating
-//! pattern, and the default combination (clock + doubling) is asserted
-//! bit-identical to a config that never mentions the policy section at
-//! all — the redesign must not move the paper's tables.
+//! pattern, and a config that never mentions the policy section is
+//! asserted bit-identical to an explicit clock + fifo selection — the
+//! redesign must not move the paper's tables.
 //!
 //! Usage: `cargo run --release -p chorus-bench --bin ablation_policies [--json] [--quick]`
 
@@ -56,7 +57,7 @@ struct Combo {
     readahead: ReadaheadKind,
 }
 
-/// Every replacement policy under the default readahead, plus the
+/// Every replacement policy under doubling readahead, plus the
 /// FIFO-readahead baseline on the default replacement.
 fn combos() -> Vec<Combo> {
     let mut v: Vec<Combo> = ReplacementKind::ALL
@@ -103,8 +104,9 @@ impl Row {
 /// the only raced variable is the policy section.
 #[derive(Clone, Copy)]
 struct Knobs {
-    /// Adaptive readahead with this base cluster (0 = plain demand
-    /// paging) — the scale scenario races doubling vs fifo through it.
+    /// Clustered pulls with this base window, raced between the
+    /// combo's readahead policies (0 = plain demand paging with the
+    /// default static window, whatever the combo's readahead label).
     ra_cluster: u64,
     /// `pushOut` clustering + the watermark writeback daemon.
     writeback: bool,
@@ -112,14 +114,13 @@ struct Knobs {
 
 /// Builds the raced world. `combo: None` builds the control config that
 /// never touches the policy section (the defaults must behave
-/// identically to an explicit clock + doubling selection).
+/// identically to an explicit clock + fifo selection).
 fn world(combo: Option<Combo>, knobs: Knobs) -> World<Pvm> {
     let config = PvmConfig::builder()
         .paging(|p| {
             let p = p.check_invariants(false);
             let p = if knobs.ra_cluster > 0 {
                 p.pull_cluster_pages(knobs.ra_cluster)
-                    .readahead_adaptive(true)
                     .readahead_max_pages(8)
             } else {
                 p
@@ -132,15 +133,14 @@ fn world(combo: Option<Combo>, knobs: Knobs) -> World<Pvm> {
         })
         .pressure(|pr| {
             if knobs.writeback {
-                pr.writeback_daemon(true)
-                    .writeback_low_frames(16)
-                    .writeback_high_frames(32)
+                pr.writeback_low_frames(16).writeback_high_frames(32)
             } else {
                 pr
             }
         })
         .policy(|p| match combo {
-            Some(c) => p.replacement(c.replacement).readahead(c.readahead),
+            Some(c) if knobs.ra_cluster > 0 => p.replacement(c.replacement).readahead(c.readahead),
+            Some(c) => p.replacement(c.replacement),
             None => p,
         })
         .build()
@@ -152,7 +152,7 @@ fn finish(w: &World<Pvm>, scenario: &'static str, combo: Option<Combo>, sim_ms: 
     let stats = w.gmi.stats();
     let c = combo.unwrap_or(Combo {
         replacement: ReplacementKind::Clock,
-        readahead: ReadaheadKind::Doubling,
+        readahead: ReadaheadKind::Fifo,
     });
     Row {
         scenario,
@@ -170,8 +170,8 @@ fn finish(w: &World<Pvm>, scenario: &'static str, combo: Option<Combo>, sim_ms: 
 }
 
 /// Sequential read scans: the working set floods the pool `scans`
-/// times; adaptive readahead is on, so the doubling-vs-fifo race shows
-/// in `pull_ins`.
+/// times; pulls cluster, so the doubling-vs-fifo race shows in
+/// `pull_ins`.
 fn run_scale(shape: &Shape, combo: Option<Combo>) -> Row {
     let w = world(
         combo,
@@ -303,8 +303,8 @@ fn main() {
     }
 
     // Bit-identity of the defaults: a config that never names the
-    // policy section must match an explicit clock + doubling selection
-    // in every scenario — the trait refactor moved no numbers.
+    // policy section must match an explicit clock + fifo selection in
+    // every scenario — the trait refactor moved no numbers.
     for (name, run) in [
         ("scale", run_scale as fn(&Shape, Option<Combo>) -> Row),
         ("writeback", run_writeback),
@@ -315,13 +315,13 @@ fn main() {
             shape,
             Some(Combo {
                 replacement: ReplacementKind::Clock,
-                readahead: ReadaheadKind::Doubling,
+                readahead: ReadaheadKind::Fifo,
             }),
         );
         assert_eq!(
             control.fingerprint(),
             explicit.fingerprint(),
-            "default config must be bit-identical to explicit clock+doubling in {name}"
+            "default config must be bit-identical to explicit clock+fifo in {name}"
         );
     }
 

@@ -78,8 +78,7 @@ fn run_config(shape: &Shape, cluster: u64, daemon: bool) -> Row {
             config: PvmConfig::builder()
                 .paging(|p| p.check_invariants(false).push_cluster_pages(cluster))
                 .pressure(|pr| {
-                    pr.writeback_daemon(daemon)
-                        .writeback_low_frames(if daemon { LOW } else { 0 })
+                    pr.writeback_low_frames(if daemon { LOW } else { 0 })
                         .writeback_high_frames(if daemon { HIGH } else { 0 })
                 })
                 .telemetry(|t| {

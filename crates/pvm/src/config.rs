@@ -8,8 +8,13 @@
 //! [`telemetry`](PvmConfigBuilder::telemetry) and
 //! [`policy`](PvmConfigBuilder::policy) — so related knobs are set
 //! together and cross-field invariants read next to the fields they
-//! constrain. The old flat setters survive one release as thin
-//! deprecated forwards.
+//! constrain.
+//!
+//! Every field is an independent choice. Values that would only restate
+//! another field are derived instead (the watermark laundering pass runs
+//! exactly when `writeback_low_frames > 0`; `large_pages` reserves
+//! contiguous buddy runs), and values no configuration varies are
+//! constants next to the code that uses them.
 
 use crate::policy::{PolicyConfig, ReadaheadKind, ReplacementKind};
 use crate::trace::TraceConfig;
@@ -24,12 +29,6 @@ use chorus_gmi::RetryPolicy;
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct PvmConfig {
-    /// `CopyMode::Auto` uses the per-virtual-page technique for copies of
-    /// at most this many pages, and history objects above (§4.3: per-page
-    /// for "relatively small amounts of data (e.g. an IPC message)").
-    /// With the paper's 8 KB pages and 64 KB IPC messages the boundary is
-    /// 8 pages.
-    pub per_page_max_pages: u64,
     /// Enable clock page replacement when the frame pool runs dry. When
     /// disabled, exhaustion returns `GmiError::OutOfMemory` immediately
     /// (useful for deterministic tests).
@@ -37,28 +36,17 @@ pub struct PvmConfig {
     /// Run the full structural invariant checker after every mutating
     /// operation. Expensive; defaults to on only in debug builds.
     pub check_invariants: bool,
-    /// Collapse single-child zombie history nodes by merging them into
-    /// their child (§4.2.5: the bounded analogue of Mach's shadow-chain
-    /// garbage collection, needed only for fork-exit-fork-exit chains).
-    pub collapse_zombies: bool,
     /// Read-ahead: a `pullIn` may cover up to this many contiguous
     /// owned-but-non-resident pages in one upcall (§3.3.3: "The MM may
     /// unilaterally decide to cache a fragment of data"). 1 disables
-    /// clustering.
+    /// clustering. The [`ReadaheadKind::Doubling`] policy ramps the
+    /// window from this base.
     pub pull_cluster_pages: u64,
     /// Retry policy for mapper upcalls (`pullIn`, `pushOut`,
     /// `getWriteAccess`): transient failures are retried with exponential
     /// backoff charged to the simulated clock. `RetryPolicy::no_retry()`
     /// restores fail-fast semantics.
     pub retry: RetryPolicy,
-    /// Quarantine a cache after a *permanent* mapper failure: all further
-    /// operations touching the cache fail with `CachePoisoned` instead of
-    /// re-driving upcalls into a dead mapper.
-    pub quarantine_on_permanent_failure: bool,
-    /// When a `fillUp` delivering pulled data cannot allocate a frame,
-    /// run an emergency eviction pass over clean unpinned pages instead
-    /// of failing the fault recovery with `OutOfMemory`.
-    pub emergency_pageout: bool,
     /// Consult the lock-free resident translation cache before taking
     /// the state mutex on a fault. Soft faults (resident page, non-COW,
     /// non-stub, access already allowed) then complete without the big
@@ -74,22 +62,16 @@ pub struct PvmConfig {
     /// upcall (one request overhead per run, symmetric to
     /// [`PvmConfig::pull_cluster_pages`]). 1 disables clustering.
     pub push_cluster_pages: u64,
-    /// Watermark-driven laundering: whenever an operation enters the
-    /// PVM with fewer than [`PvmConfig::writeback_low_frames`] free
-    /// frames, a deterministic pageout pass cleans and evicts pages
-    /// until [`PvmConfig::writeback_high_frames`] frames are free, so
-    /// demand faults almost never block on a synchronous `pushOut`.
-    pub writeback_daemon: bool,
-    /// Low free-frame watermark that activates the laundering pass.
+    /// Low free-frame watermark of the laundering pass: whenever an
+    /// operation enters the PVM with fewer free frames than this, a
+    /// deterministic pageout pass cleans and evicts pages until
+    /// [`PvmConfig::writeback_high_frames`] frames are free, so demand
+    /// faults almost never block on a synchronous `pushOut`. 0 (the
+    /// default) turns the pass off.
     pub writeback_low_frames: u32,
     /// High free-frame watermark at which the laundering pass stops.
     pub writeback_high_frames: u32,
-    /// Adaptive readahead: ramp the pull cluster window per cache on a
-    /// detected sequential fault stream (doubling up to
-    /// [`PvmConfig::readahead_max_pages`]) and reset it to
-    /// [`PvmConfig::pull_cluster_pages`] on random access.
-    pub readahead_adaptive: bool,
-    /// Ceiling for the adaptive readahead window, in pages.
+    /// Ceiling of the [`ReadaheadKind::Doubling`] window, in pages.
     pub readahead_max_pages: u64,
     /// Completion-based asynchronous upcalls: readahead tail `pullIn`s
     /// and watermark-laundering `pushOut`s become fire-and-collect
@@ -141,19 +123,16 @@ pub struct PvmConfig {
     /// through the dead handle then report `ContextKilled`. Off by
     /// default: exhaustion returns `OutOfMemory` as before.
     pub oom_killer: bool,
-    /// Contiguous frame runs from the buddy physical tier: a pull window
-    /// that covers a whole aligned large page reserves one contiguous
-    /// pre-zeroed run (`alloc_run_zeroed`) so large-page promotion finds
-    /// physically contiguous frames. Off by default: frames are handed
-    /// out one at a time exactly as before.
-    pub buddy_runs: bool,
-    /// Large-page promotion: a fully resident, aligned, uniformly
-    /// protected run of [`PvmConfig::promote_threshold_pages`] base pages
-    /// backed by contiguous frames is additionally mapped by a single
-    /// large MMU entry, so subsequent accesses anywhere in the run
-    /// translate without faulting. Any per-page mutation (unmap,
-    /// reprotect, evict, quarantine) demotes the large mapping first.
-    /// Requires [`PvmConfig::buddy_runs`]. Off by default.
+    /// Large-page promotion over contiguous buddy runs: a synchronous
+    /// pull window that covers a whole aligned large page reserves one
+    /// contiguous pre-zeroed frame run (`alloc_run_zeroed`), and a fully
+    /// resident, aligned, uniformly protected run of
+    /// [`PvmConfig::promote_threshold_pages`] base pages backed by
+    /// contiguous frames is additionally mapped by a single large MMU
+    /// entry, so subsequent accesses anywhere in the run translate
+    /// without faulting. Any per-page mutation (unmap, reprotect, evict,
+    /// quarantine) demotes the large mapping first. Off by default:
+    /// frames are then handed out one at a time.
     pub large_pages: bool,
     /// Base pages per large page (the promotion granule). Must be a
     /// power of two of at least 2. 256 matches the 2 MiB class over the
@@ -195,31 +174,26 @@ pub struct PvmConfig {
     pub parallel_faults: bool,
     /// Replacement and readahead policy selection: which
     /// `ReplacementPolicy` runs victim selection — globally and per
-    /// segment override — and which `ReadaheadPolicy` sizes the
-    /// adaptive pull window. The defaults (`Clock` + `DoublingWindow`)
-    /// reproduce the classic clock sweep and window doubling
-    /// bit-identically.
+    /// segment override — and whether the pull window stays at
+    /// [`PvmConfig::pull_cluster_pages`] ([`ReadaheadKind::Fifo`]) or
+    /// doubles on sequential streams ([`ReadaheadKind::Doubling`]). The
+    /// defaults (`Clock` + `Fifo`) reproduce the classic clock sweep and
+    /// the static pull cluster bit-identically.
     pub policy: PolicyConfig,
 }
 
 impl Default for PvmConfig {
     fn default() -> PvmConfig {
         PvmConfig {
-            per_page_max_pages: 8,
             enable_pageout: true,
             check_invariants: cfg!(debug_assertions),
-            collapse_zombies: true,
             pull_cluster_pages: 1,
             retry: RetryPolicy::default(),
-            quarantine_on_permanent_failure: true,
-            emergency_pageout: true,
             fast_path: true,
             trace: TraceConfig::default(),
             push_cluster_pages: 1,
-            writeback_daemon: false,
             writeback_low_frames: 0,
             writeback_high_frames: 0,
-            readahead_adaptive: false,
             readahead_max_pages: 8,
             async_upcalls: false,
             max_inflight_upcalls: 4,
@@ -229,7 +203,6 @@ impl Default for PvmConfig {
             max_pending_pulls: 0,
             emergency_reserve_frames: 0,
             oom_killer: false,
-            buddy_runs: false,
             large_pages: false,
             promote_threshold_pages: 256,
             telemetry: false,
@@ -270,7 +243,7 @@ impl PvmConfig {
 /// # use chorus_pvm::PvmConfig;
 /// let config = PvmConfig::builder()
 ///     .paging(|p| p.pull_cluster_pages(4).readahead_max_pages(16))
-///     .pressure(|p| p.writeback_daemon(true).writeback_high_frames(8))
+///     .pressure(|p| p.writeback_low_frames(4).writeback_high_frames(8))
 ///     .policy(|p| p.replacement(chorus_pvm::ReplacementKind::Lru))
 ///     .build()
 ///     .unwrap();
@@ -296,24 +269,6 @@ macro_rules! setters {
     };
 }
 
-/// Generates the deprecated flat forwards on [`PvmConfigBuilder`]
-/// itself: same names and behaviour as the pre-section setters, kept
-/// for one release.
-macro_rules! flat_forwards {
-    ($($name:ident: $ty:ty => $section:literal),* $(,)?) => {
-        $(
-            #[doc = concat!("See [`PvmConfig::", stringify!($name), "`]. ",
-                "Grouped section: `", $section, "`.")]
-            #[deprecated(note = "set this through its grouped builder section instead")]
-            #[must_use]
-            pub fn $name(mut self, value: $ty) -> Self {
-                self.config.$name = value;
-                self
-            }
-        )*
-    };
-}
-
 /// The `paging` section: core replacement/readahead mechanics and the
 /// fault fast paths.
 #[derive(Debug)]
@@ -323,20 +278,14 @@ pub struct PagingSection {
 
 impl PagingSection {
     setters! {
-        /// See [`PvmConfig::per_page_max_pages`].
-        per_page_max_pages: u64,
         /// See [`PvmConfig::enable_pageout`].
         enable_pageout: bool,
         /// See [`PvmConfig::check_invariants`].
         check_invariants: bool,
-        /// See [`PvmConfig::collapse_zombies`].
-        collapse_zombies: bool,
         /// See [`PvmConfig::pull_cluster_pages`].
         pull_cluster_pages: u64,
         /// See [`PvmConfig::push_cluster_pages`].
         push_cluster_pages: u64,
-        /// See [`PvmConfig::readahead_adaptive`].
-        readahead_adaptive: bool,
         /// See [`PvmConfig::readahead_max_pages`].
         readahead_max_pages: u64,
         /// See [`PvmConfig::fast_path`].
@@ -367,8 +316,6 @@ impl AsyncSection {
         quarantine_after_timeouts: u32,
         /// See [`PvmConfig::retry`].
         retry: RetryPolicy,
-        /// See [`PvmConfig::quarantine_on_permanent_failure`].
-        quarantine_on_permanent_failure: bool,
     }
 }
 
@@ -381,8 +328,6 @@ pub struct PressureSection {
 
 impl PressureSection {
     setters! {
-        /// See [`PvmConfig::writeback_daemon`].
-        writeback_daemon: bool,
         /// See [`PvmConfig::writeback_low_frames`].
         writeback_low_frames: u32,
         /// See [`PvmConfig::writeback_high_frames`].
@@ -391,8 +336,6 @@ impl PressureSection {
         max_pending_pulls: u64,
         /// See [`PvmConfig::emergency_reserve_frames`].
         emergency_reserve_frames: u32,
-        /// See [`PvmConfig::emergency_pageout`].
-        emergency_pageout: bool,
         /// See [`PvmConfig::oom_killer`].
         oom_killer: bool,
     }
@@ -407,8 +350,6 @@ pub struct LargePagesSection {
 
 impl LargePagesSection {
     setters! {
-        /// See [`PvmConfig::buddy_runs`].
-        buddy_runs: bool,
         /// See [`PvmConfig::large_pages`].
         large_pages: bool,
         /// See [`PvmConfig::promote_threshold_pages`].
@@ -519,41 +460,6 @@ impl PvmConfigBuilder {
         policy: PolicySection,
     }
 
-    flat_forwards! {
-        per_page_max_pages: u64 => "paging",
-        enable_pageout: bool => "paging",
-        check_invariants: bool => "paging",
-        collapse_zombies: bool => "paging",
-        pull_cluster_pages: u64 => "paging",
-        retry: RetryPolicy => "async",
-        quarantine_on_permanent_failure: bool => "async",
-        emergency_pageout: bool => "pressure",
-        fast_path: bool => "paging",
-        trace: TraceConfig => "telemetry",
-        push_cluster_pages: u64 => "paging",
-        writeback_daemon: bool => "pressure",
-        writeback_low_frames: u32 => "pressure",
-        writeback_high_frames: u32 => "pressure",
-        readahead_adaptive: bool => "paging",
-        readahead_max_pages: u64 => "paging",
-        async_upcalls: bool => "async",
-        max_inflight_upcalls: u64 => "async",
-        upcall_watchdog: bool => "async",
-        suspect_after_timeouts: u32 => "async",
-        quarantine_after_timeouts: u32 => "async",
-        max_pending_pulls: u64 => "pressure",
-        emergency_reserve_frames: u32 => "pressure",
-        oom_killer: bool => "pressure",
-        buddy_runs: bool => "large_pages",
-        promote_threshold_pages: u64 => "large_pages",
-        telemetry_sample_ns: u64 => "telemetry",
-        parallel_faults: bool => "paging",
-    }
-    // `large_pages(bool)` and `telemetry(bool)` could not survive as
-    // forwards: their names ARE the section entry points now. Use
-    // `.large_pages(|l| l.large_pages(true))` / `.telemetry(|t|
-    // t.telemetry(true))`.
-
     /// Validates the assembled configuration.
     ///
     /// # Errors
@@ -599,11 +505,6 @@ impl PvmConfigBuilder {
                 "quarantine_after_timeouts must be at least suspect_after_timeouts",
             ));
         }
-        if c.large_pages && !c.buddy_runs {
-            return Err(chorus_gmi::GmiError::Unsupported(
-                "large_pages requires buddy_runs",
-            ));
-        }
         if !c.promote_threshold_pages.is_power_of_two() || c.promote_threshold_pages < 2 {
             return Err(chorus_gmi::GmiError::Unsupported(
                 "promote_threshold_pages must be a power of two >= 2",
@@ -646,21 +547,16 @@ mod tests {
     fn default_matches_paper_ipc_boundary() {
         let c = PvmConfig::default();
         // 8 pages * 8 KB = 64 KB, the paper's IPC message limit.
-        assert_eq!(c.per_page_max_pages * 8192, 64 * 1024);
+        assert_eq!(crate::copy::PER_PAGE_MAX_PAGES * 8192, 64 * 1024);
         assert!(c.enable_pageout);
-        assert!(c.collapse_zombies);
         assert_eq!(c.pull_cluster_pages, 1, "clustering is opt-in");
         assert!(c.retry.max_attempts > 1, "transient faults heal by default");
-        assert!(c.quarantine_on_permanent_failure);
-        assert!(c.emergency_pageout);
         assert!(c.fast_path, "soft-fault fast path is on by default");
         assert!(!c.trace.enabled, "tracing is opt-in");
         assert!(!c.trace.wall_clock, "wall stamps are opt-in");
         assert_eq!(c.push_cluster_pages, 1, "write clustering is opt-in");
-        assert!(!c.writeback_daemon, "laundering is opt-in");
-        assert_eq!(c.writeback_low_frames, 0);
+        assert_eq!(c.writeback_low_frames, 0, "laundering is opt-in");
         assert_eq!(c.writeback_high_frames, 0);
-        assert!(!c.readahead_adaptive, "adaptive readahead is opt-in");
         assert_eq!(c.readahead_max_pages, 8);
         assert!(!c.async_upcalls, "the completion engine is opt-in");
         assert!(c.max_inflight_upcalls >= 1);
@@ -670,7 +566,6 @@ mod tests {
         assert_eq!(c.max_pending_pulls, 0, "backpressure is opt-in");
         assert_eq!(c.emergency_reserve_frames, 0, "the reserve is opt-in");
         assert!(!c.oom_killer, "the OOM killer is opt-in");
-        assert!(!c.buddy_runs, "contiguous runs are opt-in");
         assert!(!c.large_pages, "large pages are opt-in");
         assert_eq!(
             c.promote_threshold_pages * 8192,
@@ -689,8 +584,8 @@ mod tests {
         );
         assert_eq!(
             c.policy.readahead,
-            ReadaheadKind::Doubling,
-            "the default readahead policy is the doubling window"
+            ReadaheadKind::Fifo,
+            "the default pull window is the static cluster"
         );
         assert!(c.policy.segment_overrides.is_empty());
     }
@@ -704,8 +599,7 @@ mod tests {
                     .parallel_faults(true)
             })
             .pressure(|p| {
-                p.writeback_daemon(true)
-                    .writeback_low_frames(4)
+                p.writeback_low_frames(4)
                     .writeback_high_frames(8)
                     .max_pending_pulls(16)
                     .emergency_reserve_frames(2)
@@ -741,7 +635,7 @@ mod tests {
         let c = PvmConfig::builder()
             .policy(|p| {
                 p.replacement(ReplacementKind::Lru)
-                    .readahead(ReadaheadKind::Fifo)
+                    .readahead(ReadaheadKind::Doubling)
                     .segment_override(7, ReplacementKind::WsClock)
                     .wsclock_tau(3)
                     .external_batch(4)
@@ -749,28 +643,13 @@ mod tests {
             .build()
             .expect("valid policy config");
         assert_eq!(c.policy.replacement, ReplacementKind::Lru);
-        assert_eq!(c.policy.readahead, ReadaheadKind::Fifo);
+        assert_eq!(c.policy.readahead, ReadaheadKind::Doubling);
         assert_eq!(
             c.policy.segment_overrides,
             vec![(7, ReplacementKind::WsClock)]
         );
         assert_eq!(c.policy.wsclock_tau, 3);
         assert_eq!(c.policy.external_batch, 4);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_flat_setters_still_forward() {
-        let c = PvmConfig::builder()
-            .pull_cluster_pages(2)
-            .async_upcalls(true)
-            .writeback_daemon(true)
-            .writeback_high_frames(4)
-            .build()
-            .expect("flat forwards still build");
-        assert_eq!(c.pull_cluster_pages, 2);
-        assert!(c.writeback_daemon);
-        assert!(c.async_upcalls);
     }
 
     #[test]
@@ -796,10 +675,6 @@ mod tests {
             .is_err());
         assert!(PvmConfig::builder()
             .r#async(|a| a.suspect_after_timeouts(5).quarantine_after_timeouts(2))
-            .build()
-            .is_err());
-        assert!(PvmConfig::builder()
-            .large_pages(|l| l.large_pages(true))
             .build()
             .is_err());
         assert!(PvmConfig::builder()
@@ -840,11 +715,7 @@ mod tests {
             "duplicate per-segment overrides are ambiguous"
         );
         let c = PvmConfig::builder()
-            .large_pages(|l| {
-                l.buddy_runs(true)
-                    .large_pages(true)
-                    .promote_threshold_pages(16)
-            })
+            .large_pages(|l| l.large_pages(true).promote_threshold_pages(16))
             .build()
             .expect("valid large-page config");
         assert!(c.large_pages);

@@ -15,6 +15,12 @@ use crate::stats::Counter;
 use chorus_gmi::{CopyMode, GmiError, Result, SegmentId};
 use chorus_hal::{Access, OpKind};
 
+/// `CopyMode::Auto` uses the per-virtual-page technique for copies of at
+/// most this many pages, and history objects above (§4.3: per-page for
+/// "relatively small amounts of data (e.g. an IPC message)"). With the
+/// paper's 8 KB pages and 64 KB IPC messages the boundary is 8 pages.
+pub(crate) const PER_PAGE_MAX_PAGES: u64 = 8;
+
 impl PvmState {
     /// `cacheCreate(segment)`.
     pub fn cache_create_locked(&mut self, segment: Option<SegmentId>) -> CacheKey {
@@ -36,7 +42,7 @@ impl PvmState {
         if !aligned {
             return CopyMode::Eager;
         }
-        if self.geom.pages_for(size) <= self.config.per_page_max_pages {
+        if self.geom.pages_for(size) <= PER_PAGE_MAX_PAGES {
             CopyMode::PerPage
         } else {
             CopyMode::HistoryCow

@@ -34,7 +34,7 @@ use crate::keys::{CacheKey, PageKey};
 use crate::state::PvmState;
 use crate::stats::Counter;
 use crate::telemetry::DimCounter;
-use crate::trace::{TraceEvent, UpcallKind, UpcallOutcome};
+use crate::trace::{TraceEvent, UpcallKind};
 use chorus_gmi::{CompletionQueue, GmiError, Result, SegmentId};
 use chorus_hal::{Access, FxHashMap, OpKind};
 use std::collections::BTreeSet;
@@ -361,8 +361,7 @@ impl PvmState {
             Ok(()) => self.engine.note_success(rec.segment),
             Err(e) => {
                 if matches!(e, GmiError::MapperTimeout { .. }) {
-                    self.stats.bump(Counter::MapperTimeouts);
-                    self.dim_mapper(rec.segment, DimCounter::Timeouts, 1);
+                    self.count_timeout(rec.segment);
                 }
                 if !e.is_transient() {
                     self.quarantine_cache(rec.cache);
@@ -372,12 +371,7 @@ impl PvmState {
         let inflight = self.engine.inflight();
         self.trace.event(|| TraceEvent::UpcallComplete {
             kind: rec.kind,
-            outcome: match &rec.result {
-                Ok(()) => UpcallOutcome::Ok,
-                Err(GmiError::MapperTimeout { .. }) => UpcallOutcome::Timeout,
-                Err(e) if e.is_transient() => UpcallOutcome::Transient,
-                Err(_) => UpcallOutcome::Permanent,
-            },
+            outcome: crate::pvm::upcall_outcome(&rec.result),
             retries: rec.retries,
             inflight,
         });

@@ -736,7 +736,7 @@ impl PvmState {
             self.reclaim_dead_cache(cache);
             return;
         }
-        if !self.config.collapse_zombies || !desc.zombie || desc.mapped_regions > 0 {
+        if !desc.zombie || desc.mapped_regions > 0 {
             return;
         }
         let Some(child) = desc.sole_child() else {

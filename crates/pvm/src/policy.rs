@@ -4,11 +4,11 @@
 //! module makes it generic over *policy* as well. Eviction candidates
 //! flow through a `ReplacementPolicy` (the clock ring, LRU lists,
 //! WSClock, an ARC-style adaptive pair, or an external advisor driven
-//! over the upcall protocol), and pull-cluster sizing flows through a
-//! `ReadaheadPolicy` (the adaptive doubling window or a fixed FIFO
-//! baseline). The default `Clock` + `DoublingWindow` pair reproduces the
-//! pre-policy behaviour bit for bit: same sweep order, same
-//! `ClockFullSweeps` accounting, same window arithmetic.
+//! over the upcall protocol), and pull-cluster sizing is either the
+//! static cluster ([`ReadaheadKind::Fifo`]) or the `doubling_window`
+//! rule ([`ReadaheadKind::Doubling`]). The default `Clock` + `Fifo` pair
+//! reproduces the pre-policy behaviour bit for bit: same sweep order,
+//! same `ClockFullSweeps` accounting, same static pull window.
 //!
 //! Locking: every policy structure lives *inside* `PvmState` and is
 //! only touched under the state lock — mutable page state is reached
@@ -74,9 +74,12 @@ impl ReplacementKind {
 /// Which readahead policy sizes clustered pulls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadaheadKind {
-    /// Sequential streams double the window up to the cap (default).
+    /// Sequential streams double the window up to the cap, and the
+    /// per-cache stream state (`ReadaheadHits`, `ReadaheadRamps`) is
+    /// tracked.
     Doubling,
-    /// Fixed window: always the static cluster base (FIFO baseline).
+    /// Fixed window: always the static cluster base, with no stream
+    /// tracking (default).
     Fifo,
 }
 
@@ -122,7 +125,7 @@ impl Default for PolicyConfig {
     fn default() -> PolicyConfig {
         PolicyConfig {
             replacement: ReplacementKind::Clock,
-            readahead: ReadaheadKind::Doubling,
+            readahead: ReadaheadKind::Fifo,
             segment_overrides: Vec::new(),
             wsclock_tau: 2,
             external_batch: 8,
@@ -202,6 +205,8 @@ pub(crate) trait ReplacementPolicy: Send {
     fn approve_victims(&mut self, _pages: &[PageKey]) {}
 }
 
+// ----- readahead ------------------------------------------------------------
+
 /// Input to one readahead-window decision.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RaInput {
@@ -219,7 +224,7 @@ pub(crate) struct RaInput {
 
 /// One readahead-window decision. The caller does the counter
 /// bookkeeping (`ReadaheadHits`/`ReadaheadRamps` and the cache
-/// dimension) so policies stay side-effect free.
+/// dimension) so the rule stays side-effect free.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RaDecision {
     /// Granted window in pages.
@@ -230,64 +235,27 @@ pub(crate) struct RaDecision {
     pub ramped: bool,
 }
 
-/// A readahead policy: maps a miss's stream position onto a pull window.
-pub(crate) trait ReadaheadPolicy: Send {
-    /// Which kind this instance is.
-    fn kind(&self) -> ReadaheadKind;
-    /// Decides the window for one miss.
-    fn window(&mut self, inp: &RaInput) -> RaDecision;
-}
-
-// ----- built-in readahead policies ----------------------------------------
-
-/// The adaptive doubling window (default; bit-identical to the
-/// pre-policy `pull_window`).
-#[derive(Default)]
-pub(crate) struct DoublingWindow;
-
-impl ReadaheadPolicy for DoublingWindow {
-    fn kind(&self) -> ReadaheadKind {
-        ReadaheadKind::Doubling
-    }
-
-    fn window(&mut self, inp: &RaInput) -> RaDecision {
-        if inp.next != 0 && inp.offset == inp.next {
-            let prev = if inp.window == 0 {
-                inp.base
-            } else {
-                inp.window
-            };
-            let grown = prev.saturating_mul(2).min(inp.cap);
-            RaDecision {
-                pages: grown,
-                hit: true,
-                ramped: grown > prev,
-            }
+/// The doubling readahead rule behind [`ReadaheadKind::Doubling`]: a
+/// miss landing exactly where the cache's previous clustered pull ended
+/// doubles the previous window up to the cap; any other miss gets the
+/// static base.
+pub(crate) fn doubling_window(inp: &RaInput) -> RaDecision {
+    if inp.next != 0 && inp.offset == inp.next {
+        let prev = if inp.window == 0 {
+            inp.base
         } else {
-            RaDecision {
-                pages: inp.base,
-                hit: false,
-                ramped: false,
-            }
+            inp.window
+        };
+        let grown = prev.saturating_mul(2).min(inp.cap);
+        RaDecision {
+            pages: grown,
+            hit: true,
+            ramped: grown > prev,
         }
-    }
-}
-
-/// Fixed-window baseline: always the static base. Stream hits are still
-/// detected (so `ReadaheadHits` stays comparable across policies) but
-/// never ramp the window.
-#[derive(Default)]
-pub(crate) struct FifoWindow;
-
-impl ReadaheadPolicy for FifoWindow {
-    fn kind(&self) -> ReadaheadKind {
-        ReadaheadKind::Fifo
-    }
-
-    fn window(&mut self, inp: &RaInput) -> RaDecision {
+    } else {
         RaDecision {
             pages: inp.base,
-            hit: inp.next != 0 && inp.offset == inp.next,
+            hit: false,
             ramped: false,
         }
     }
@@ -1042,9 +1010,9 @@ impl ReplacementPolicy for ExternalPolicy {
 // ----- the engine ----------------------------------------------------------
 
 /// The per-`PvmState` policy engine: one replacement instance for the
-/// default kind plus one per segment override, a routing table, and the
-/// readahead policy. With the default configuration this is exactly one
-/// `Clock` and one `DoublingWindow` — zero-overhead routing (slot 0).
+/// default kind plus one per segment override and a routing table. With
+/// the default configuration this is exactly one `Clock` — zero-overhead
+/// routing (slot 0).
 pub(crate) struct PolicyEngine {
     slots: Vec<Box<dyn ReplacementPolicy>>,
     /// Segment id → slot index (empty with no overrides).
@@ -1053,7 +1021,6 @@ pub(crate) struct PolicyEngine {
     page_slot: FxHashMap<PageKey, usize>,
     /// Rotating start slot for victim selection (always 0 with one slot).
     cursor: usize,
-    pub readahead: Box<dyn ReadaheadPolicy>,
 }
 
 fn make_replacement(kind: ReplacementKind, cfg: &PolicyConfig) -> Box<dyn ReplacementPolicy> {
@@ -1079,23 +1046,17 @@ impl PolicyEngine {
             by_segment,
             page_slot: FxHashMap::default(),
             cursor: 0,
-            readahead: match cfg.readahead {
-                ReadaheadKind::Doubling => Box::new(DoublingWindow),
-                ReadaheadKind::Fifo => Box::new(FifoWindow),
-            },
         }
     }
 
     /// A zero-allocation stand-in used while the real engine is
-    /// temporarily moved out of `PvmState` for a selection call (both
-    /// `Vec::new` and boxing a ZST allocate nothing).
+    /// temporarily moved out of `PvmState` for a selection call.
     pub fn placeholder() -> PolicyEngine {
         PolicyEngine {
             slots: Vec::new(),
             by_segment: FxHashMap::default(),
             page_slot: FxHashMap::default(),
             cursor: 0,
-            readahead: Box::new(FifoWindow),
         }
     }
 
@@ -1428,9 +1389,8 @@ mod tests {
 
     #[test]
     fn doubling_window_arithmetic() {
-        let mut d = DoublingWindow;
         // Cold miss: base.
-        let dec = d.window(&RaInput {
+        let dec = doubling_window(&RaInput {
             offset: 0x3000,
             base: 2,
             cap: 16,
@@ -1439,7 +1399,7 @@ mod tests {
         });
         assert_eq!((dec.pages, dec.hit, dec.ramped), (2, false, false));
         // Stream hit: double from the previous window.
-        let dec = d.window(&RaInput {
+        let dec = doubling_window(&RaInput {
             offset: 0x5000,
             base: 2,
             cap: 16,
@@ -1448,7 +1408,7 @@ mod tests {
         });
         assert_eq!((dec.pages, dec.hit, dec.ramped), (8, true, true));
         // Capped: hit without ramp.
-        let dec = d.window(&RaInput {
+        let dec = doubling_window(&RaInput {
             offset: 0x5000,
             base: 2,
             cap: 8,
@@ -1456,15 +1416,5 @@ mod tests {
             next: 0x5000,
         });
         assert_eq!((dec.pages, dec.hit, dec.ramped), (8, true, false));
-        // FIFO never ramps but still detects the stream.
-        let mut f = FifoWindow;
-        let dec = f.window(&RaInput {
-            offset: 0x5000,
-            base: 2,
-            cap: 16,
-            window: 4,
-            next: 0x5000,
-        });
-        assert_eq!((dec.pages, dec.hit, dec.ramped), (2, true, false));
     }
 }

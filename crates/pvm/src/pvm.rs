@@ -338,8 +338,8 @@ impl Pvm {
         }
     }
 
-    /// The deterministic "writeback daemon": when the watermark config
-    /// is on and free frames fell below the low watermark, launder
+    /// The deterministic "writeback daemon": when free frames fell below
+    /// a non-zero `writeback_low_frames` watermark, launder
     /// (clean + evict) pages until the high watermark is reached, so the
     /// operation about to run — and the demand faults after it — find
     /// free or clean frames instead of stalling on a synchronous
@@ -354,7 +354,7 @@ impl Pvm {
         guard: parking_lot::MutexGuard<'a, PvmState>,
     ) -> parking_lot::MutexGuard<'a, PvmState> {
         let low = guard.config.writeback_low_frames;
-        if !guard.config.writeback_daemon || low == 0 || guard.phys.free_frames() >= low {
+        if low == 0 || guard.phys.free_frames() >= low {
             return guard;
         }
         if self.laundering.swap(true, Ordering::Acquire) {
@@ -419,6 +419,67 @@ impl Pvm {
             }
         };
         (result, retries)
+    }
+
+    /// The synchronous upcall bracket shared by every blocking upcall:
+    /// drops the state lock, runs `call` (given the retry policy, it
+    /// drives the mapper and returns the result plus the retries it
+    /// spent) between an `UpcallStart`/`UpcallEnd` pair timed into the
+    /// span's phase histogram, re-locks, and books the retries and a
+    /// timeout against the global counters and the mapper's telemetry
+    /// row. With no span the upcalls run untraced — the per-page split
+    /// of a failed batch, which reports per page.
+    fn upcall_sync<'a, T>(
+        &'a self,
+        guard: parking_lot::MutexGuard<'a, PvmState>,
+        segment: SegmentId,
+        span: Option<UpcallSpan>,
+        call: impl FnOnce(chorus_gmi::RetryPolicy) -> (Result<T>, u64),
+    ) -> (parking_lot::MutexGuard<'a, PvmState>, Result<T>, u64) {
+        let policy = guard.config.retry;
+        drop(guard);
+        let t0 = span.and_then(|_| self.trace.phase_start());
+        if let Some(s) = span {
+            self.trace.event(|| TraceEvent::UpcallStart {
+                kind: s.kind,
+                segment: segment.0,
+                offset: s.offset,
+                size: s.size,
+            });
+        }
+        let (res, retries) = call(policy);
+        if let Some(s) = span {
+            self.trace.event(|| TraceEvent::UpcallEnd {
+                kind: s.kind,
+                outcome: upcall_outcome(&res),
+                retries,
+            });
+            self.trace.phase_end(s.phase, t0);
+        }
+        let guard = self.state.lock();
+        guard.stats.add(Counter::MapperRetries, retries);
+        guard.dim_mapper(segment, DimCounter::Retries, retries);
+        if matches!(res, Err(GmiError::MapperTimeout { .. })) {
+            guard.count_timeout(segment);
+        }
+        (guard, res, retries)
+    }
+
+    /// One `pushOut` round trip of a run of `pages` pages. A single page
+    /// gets the full retry budget; a multi-page batch gets one shot, so
+    /// a failed batch is split or relaundered rather than re-driving
+    /// N-page transfers against a mapper that already dropped one.
+    fn push_upcall(
+        &self,
+        policy: chorus_gmi::RetryPolicy,
+        req: &PushRequest,
+        pages: usize,
+    ) -> (Result<()>, u64) {
+        if pages == 1 {
+            self.upcall_with_retry(req.segment, policy, || self.seg_mgr.submit_push(self, req))
+        } else {
+            (self.seg_mgr.submit_push(self, req), 0)
+        }
     }
 
     // ----- the asynchronous upcall engine -----------------------------------
@@ -520,31 +581,63 @@ impl Pvm {
         guard
     }
 
-    /// Submits one asynchronous pull: registers it in the in-flight
-    /// table, runs the mapper protocol eagerly with the lock released
-    /// (retries and backoff charge the clock as they would inline), and
-    /// schedules the completion at `now + modelled service time`. The
-    /// deferred bookkeeping — charges, stub clearing, quarantine — runs
-    /// at delivery.
-    fn submit_async_pull<'a>(
+    /// Submits one fire-and-collect upcall through the completion
+    /// engine: registers `rec` in the in-flight table, runs `call` (given
+    /// the retry policy and the record's pages) eagerly with the lock
+    /// released — retries and backoff charge the clock as they would
+    /// inline — and schedules the completion at `now +` the modelled
+    /// service time of `units` pages or advised candidates. `rec`'s
+    /// result, retries and deadline are filled in here. The deferred
+    /// bookkeeping — charges, stub clearing, quarantine — runs at
+    /// delivery.
+    fn submit_async<'a>(
         &'a self,
         mut guard: parking_lot::MutexGuard<'a, PvmState>,
-        pull: PendingPull,
+        mut rec: CompletionRecord,
+        units: u64,
+        call: impl FnOnce(chorus_gmi::RetryPolicy, &mut Vec<crate::keys::PageKey>) -> (Result<()>, u64),
     ) -> parking_lot::MutexGuard<'a, PvmState> {
-        let id = guard.engine.register(pull.segment);
+        let id = guard.engine.register(rec.segment);
         let inflight = guard.engine.inflight();
         guard.stats.bump(Counter::AsyncSubmits);
         guard.trace.event(|| TraceEvent::UpcallSubmit {
-            kind: UpcallKind::PullIn,
-            segment: pull.segment.0,
-            offset: pull.offset,
-            size: pull.size,
+            kind: rec.kind,
+            segment: rec.segment.0,
+            offset: rec.offset,
+            size: rec.size,
             inflight,
         });
         let policy = guard.config.retry;
-        let service = guard.upcall_service_ns(pull.size / guard.ps());
-        let deadline_ns = request_deadline(guard.model.now().nanos(), &policy);
+        let service = guard.upcall_service_ns(units);
+        // The per-upcall deadline runs from submission; 0 disables it.
+        rec.deadline_ns = match policy.deadline_ns {
+            0 => u64::MAX,
+            d => guard.model.now().nanos().saturating_add(d),
+        };
         drop(guard);
+        (rec.result, rec.retries) = call(policy, &mut rec.pages);
+        let mut guard = self.state.lock();
+        // A protocol-level timeout means the reply is not coming on its
+        // own: park the record at the hung-reply horizon instead of the
+        // modelled service time, so the watchdog (or a forced delivery)
+        // decides its fate. A push's pages stay `cleaning` until then,
+        // and keep their dirty bits — no modified data is lost.
+        let service = if matches!(rec.result, Err(GmiError::MapperTimeout { .. })) {
+            crate::engine::HUNG_REPLY_NS
+        } else {
+            service
+        };
+        let due = guard.model.now().nanos() + service;
+        guard.engine.queue.insert(due, id, rec);
+        guard
+    }
+
+    /// Submits one asynchronous readahead pull (see [`Self::submit_async`]).
+    fn submit_async_pull<'a>(
+        &'a self,
+        guard: parking_lot::MutexGuard<'a, PvmState>,
+        pull: PendingPull,
+    ) -> parking_lot::MutexGuard<'a, PvmState> {
         let req = PullRequest {
             cache: pub_cache(pull.cache),
             segment: pull.segment,
@@ -552,107 +645,23 @@ impl Pvm {
             size: pull.size,
             access: pull.access,
         };
-        let (result, retries) = self.upcall_with_retry(pull.segment, policy, || {
-            self.seg_mgr.submit_pull(self, &req)
-        });
-        let mut guard = self.state.lock();
-        // A protocol-level timeout means the reply is not coming on its
-        // own: park the record at the hung-reply horizon instead of the
-        // modelled service time, so the watchdog (or a forced delivery)
-        // decides its fate.
-        let service = if matches!(result, Err(GmiError::MapperTimeout { .. })) {
-            crate::engine::HUNG_REPLY_NS
-        } else {
-            service
+        let pages = pull.size / guard.ps();
+        let rec = CompletionRecord {
+            kind: UpcallKind::PullIn,
+            cache: pull.cache,
+            segment: pull.segment,
+            offset: pull.offset,
+            size: pull.size,
+            pages: Vec::new(),
+            result: Ok(()),
+            retries: 0,
+            deadline_ns: 0,
         };
-        let due = guard.model.now().nanos() + service;
-        guard.engine.queue.insert(
-            due,
-            id,
-            CompletionRecord {
-                kind: UpcallKind::PullIn,
-                cache: pull.cache,
-                segment: pull.segment,
-                offset: pull.offset,
-                size: pull.size,
-                pages: Vec::new(),
-                result,
-                retries,
-                deadline_ns,
-            },
-        );
-        guard
-    }
-
-    /// Submits one asynchronous laundering push. The pages stay
-    /// `cleaning` (write-protected) until the completion delivers, so
-    /// the bytes the mapper read at submit time cannot be re-dirtied
-    /// under it; on a failed completion they keep their dirty bits and
-    /// the next laundering pass re-drives them — no dirty data is lost.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_async_push<'a>(
-        &'a self,
-        mut guard: parking_lot::MutexGuard<'a, PvmState>,
-        cache: crate::keys::CacheKey,
-        segment: SegmentId,
-        offset: u64,
-        size: u64,
-        pages: Vec<crate::keys::PageKey>,
-    ) -> parking_lot::MutexGuard<'a, PvmState> {
-        let id = guard.engine.register(segment);
-        let inflight = guard.engine.inflight();
-        guard.stats.bump(Counter::AsyncSubmits);
-        guard.trace.event(|| TraceEvent::UpcallSubmit {
-            kind: UpcallKind::PushOut,
-            segment: segment.0,
-            offset,
-            size,
-            inflight,
-        });
-        let policy = guard.config.retry;
-        let service = guard.upcall_service_ns(pages.len() as u64);
-        let deadline_ns = request_deadline(guard.model.now().nanos(), &policy);
-        drop(guard);
-        let req = PushRequest {
-            cache: pub_cache(cache),
-            segment,
-            offset,
-            size,
-        };
-        // Same batch discipline as the synchronous path: a multi-page
-        // run gets one shot (a failed batch keeps every page dirty for
-        // the next pass rather than re-driving N-page transfers).
-        let (result, retries) = if pages.len() == 1 {
-            self.upcall_with_retry(segment, policy, || self.seg_mgr.submit_push(self, &req))
-        } else {
-            (self.seg_mgr.submit_push(self, &req), 0)
-        };
-        let mut guard = self.state.lock();
-        // As with pulls: a timed-out push parks at the hung-reply
-        // horizon (its pages stay `cleaning` until cancelled or forced,
-        // then keep their dirty bits — no modified data is lost).
-        let service = if matches!(result, Err(GmiError::MapperTimeout { .. })) {
-            crate::engine::HUNG_REPLY_NS
-        } else {
-            service
-        };
-        let due = guard.model.now().nanos() + service;
-        guard.engine.queue.insert(
-            due,
-            id,
-            CompletionRecord {
-                kind: UpcallKind::PushOut,
-                cache,
-                segment,
-                offset,
-                size,
-                pages,
-                result,
-                retries,
-                deadline_ns,
-            },
-        );
-        guard
+        self.submit_async(guard, rec, pages, |policy, _| {
+            self.upcall_with_retry(pull.segment, policy, || {
+                self.seg_mgr.submit_pull(self, &req)
+            })
+        })
     }
 
     /// Force-delivers every outstanding asynchronous completion (and
@@ -764,15 +773,6 @@ impl Pvm {
                     );
                     size = ps;
                 }
-                let policy = guard.config.retry;
-                drop(guard);
-                let t0 = self.trace.phase_start();
-                self.trace.event(|| TraceEvent::UpcallStart {
-                    kind: UpcallKind::PullIn,
-                    segment: segment.0,
-                    offset,
-                    size,
-                });
                 let req = PullRequest {
                     cache: pub_cache(cache),
                     segment,
@@ -780,18 +780,15 @@ impl Pvm {
                     size,
                     access,
                 };
-                let (res, retries) = self
-                    .upcall_with_retry(segment, policy, || self.seg_mgr.submit_pull(self, &req));
-                self.trace.event(|| TraceEvent::UpcallEnd {
+                let span = UpcallSpan {
                     kind: UpcallKind::PullIn,
-                    outcome: upcall_outcome(&res),
-                    retries,
+                    offset,
+                    size,
+                    phase: Phase::PullIn,
+                };
+                let (mut guard, res, _) = self.upcall_sync(guard, segment, Some(span), |policy| {
+                    self.upcall_with_retry(segment, policy, || self.seg_mgr.submit_pull(self, &req))
                 });
-                self.trace.phase_end(Phase::PullIn, t0);
-                let mut guard = self.state.lock();
-                guard.stats.add(Counter::MapperRetries, retries);
-                guard.dim_mapper(segment, DimCounter::Retries, retries);
-                let ps = guard.ps();
                 // The faulting page's sync stub survives only if the
                 // mapper never delivered it. A delivered page may
                 // already be gone again (another thread flushed or
@@ -832,10 +829,6 @@ impl Pvm {
                         Ok(guard)
                     }
                     Err(e) => {
-                        if matches!(e, GmiError::MapperTimeout { .. }) {
-                            guard.stats.bump(Counter::MapperTimeouts);
-                            guard.dim_mapper(segment, DimCounter::Timeouts, 1);
-                        }
                         if !e.is_transient() {
                             guard.quarantine_cache(cache);
                         }
@@ -857,19 +850,38 @@ impl Pvm {
                 // async source: nothing waits on them, so they become
                 // fire-and-collect when the mapper has a free in-flight
                 // slot (at the cap they degrade to the synchronous path
-                // below, never to unbounded queueing of dirty runs).
+                // below, never to unbounded queueing of dirty runs). The
+                // pages stay `cleaning` (write-protected) until the
+                // completion delivers, so the bytes the mapper read at
+                // submit time cannot be re-dirtied under it.
+                let req = PushRequest {
+                    cache: pub_cache(cache),
+                    segment,
+                    offset,
+                    size,
+                };
+                let n = pages.len();
                 if guard.config.async_upcalls && origin == PushOrigin::Daemon {
                     let cap = guard
                         .engine
                         .cap_for(segment, guard.config.max_inflight_upcalls.max(1));
                     if guard.engine.inflight_for(segment) < cap {
-                        return Ok(
-                            self.submit_async_push(guard, cache, segment, offset, size, pages)
-                        );
+                        let rec = CompletionRecord {
+                            kind: UpcallKind::PushOut,
+                            cache,
+                            segment,
+                            offset,
+                            size,
+                            pages,
+                            result: Ok(()),
+                            retries: 0,
+                            deadline_ns: 0,
+                        };
+                        return Ok(self.submit_async(guard, rec, n as u64, |policy, _| {
+                            self.push_upcall(policy, &req, n)
+                        }));
                     }
                 }
-                let policy = guard.config.retry;
-                drop(guard);
                 let ps = self.geom.page_size();
                 // A demand-origin push is the faulting thread stalling on
                 // a dirty eviction — the latency the writeback daemon
@@ -879,73 +891,34 @@ impl Pvm {
                 } else {
                     None
                 };
-                let t0 = self.trace.phase_start();
-                self.trace.event(|| TraceEvent::UpcallStart {
+                let span = UpcallSpan {
                     kind: UpcallKind::PushOut,
-                    segment: segment.0,
                     offset,
                     size,
-                });
-                let (res, retries) = if pages.len() == 1 {
-                    self.upcall_with_retry(segment, policy, || {
-                        self.seg_mgr.submit_push(
-                            self,
-                            &PushRequest {
-                                cache: pub_cache(cache),
-                                segment,
-                                offset,
-                                size,
-                            },
-                        )
-                    })
-                } else {
-                    // A multi-page batch gets one shot: on any failure we
-                    // fall back to per-page pushes, each with its own full
-                    // retry budget, rather than re-driving N-page transfers
-                    // against a mapper that already dropped one.
-                    (
-                        self.seg_mgr.submit_push(
-                            self,
-                            &PushRequest {
-                                cache: pub_cache(cache),
-                                segment,
-                                offset,
-                                size,
-                            },
-                        ),
-                        0,
-                    )
+                    phase: Phase::PushOut,
                 };
-                self.trace.event(|| TraceEvent::UpcallEnd {
-                    kind: UpcallKind::PushOut,
-                    outcome: upcall_outcome(&res),
-                    retries,
+                let (mut guard, res, _) = self.upcall_sync(guard, segment, Some(span), |policy| {
+                    self.push_upcall(policy, &req, n)
                 });
-                self.trace.phase_end(Phase::PushOut, t0);
-                let mut guard = self.state.lock();
-                guard.stats.add(Counter::MapperRetries, retries);
-                guard.dim_mapper(segment, DimCounter::Retries, retries);
-                if res.is_ok() {
-                    // One mapper round trip for the whole run, plus the
-                    // per-page transfer — the request-count amortization
-                    // that makes clustering pay.
-                    guard.charge(chorus_hal::OpKind::IpcOp);
-                    guard.charge_n(chorus_hal::OpKind::SegmentIoPage, size / ps);
-                    guard.stats.bump(Counter::PushOutBatches);
-                    guard.dim_io(cache, segment, DimCounter::PushOuts, pages.len() as u64);
-                    for &p in &pages {
-                        guard.finish_clean(p, true);
+                let first_err = match res {
+                    Ok(()) => {
+                        // One mapper round trip for the whole run, plus
+                        // the per-page transfer — the request-count
+                        // amortization that makes clustering pay.
+                        guard.charge(chorus_hal::OpKind::IpcOp);
+                        guard.charge_n(chorus_hal::OpKind::SegmentIoPage, size / ps);
+                        guard.stats.bump(Counter::PushOutBatches);
+                        guard.dim_io(cache, segment, DimCounter::PushOuts, n as u64);
+                        for &p in &pages {
+                            guard.finish_clean(p, true);
+                        }
+                        guard.grow_seg_len(cache, offset + size);
+                        self.trace.phase_end(Phase::EvictStall, stall0);
+                        return Ok(guard);
                     }
-                    guard.grow_seg_len(cache, offset + size);
-                    self.trace.phase_end(Phase::EvictStall, stall0);
-                    return Ok(guard);
-                }
-                let first_err = res.unwrap_err();
-                if matches!(first_err, GmiError::MapperTimeout { .. }) {
-                    guard.stats.bump(Counter::MapperTimeouts);
-                    guard.dim_mapper(segment, DimCounter::Timeouts, 1);
-                }
-                if pages.len() == 1 {
+                    Err(e) => e,
+                };
+                if n == 1 {
                     // On failure the page keeps its dirty bit (`success:
                     // false`), so no modified data is lost: a later retry
                     // of the clean can still write it back.
@@ -965,44 +938,38 @@ impl Pvm {
                 // lock was released (e.g. a concurrent invalidate) have
                 // nothing left to write and are skipped.
                 guard.stats.bump(Counter::PushBatchSplits);
-                drop(guard);
-                let mut outcomes: Vec<Option<Result<()>>> = Vec::with_capacity(pages.len());
-                let mut retries_total = 0u64;
-                let mut dead_mapper = false;
-                for (i, &p) in pages.iter().enumerate() {
-                    if dead_mapper {
-                        outcomes.push(Some(Err(GmiError::SegmentIo {
-                            segment,
-                            cause: "batched pushOut aborted after permanent mapper failure".into(),
-                            transient: true,
-                        })));
-                        continue;
-                    }
-                    if !self.state.lock().pages.contains(p) {
-                        outcomes.push(None);
-                        continue;
-                    }
-                    let off_i = offset + i as u64 * ps;
-                    let (r, rt) = self.upcall_with_retry(segment, policy, || {
-                        self.seg_mgr.submit_push(
-                            self,
-                            &PushRequest {
-                                cache: pub_cache(cache),
+                let mut outcomes: Vec<Option<Result<()>>> = Vec::with_capacity(n);
+                let (mut guard, _, _) = self.upcall_sync(guard, segment, None, |policy| {
+                    let mut retries = 0u64;
+                    let mut dead_mapper = false;
+                    for (i, &p) in pages.iter().enumerate() {
+                        if dead_mapper {
+                            outcomes.push(Some(Err(GmiError::SegmentIo {
                                 segment,
-                                offset: off_i,
-                                size: ps,
-                            },
-                        )
-                    });
-                    retries_total += rt;
-                    if r.as_ref().err().map(|e| !e.is_transient()).unwrap_or(false) {
-                        dead_mapper = true;
+                                cause: "batched pushOut aborted after permanent mapper failure"
+                                    .into(),
+                                transient: true,
+                            })));
+                            continue;
+                        }
+                        if !self.state.lock().pages.contains(p) {
+                            outcomes.push(None);
+                            continue;
+                        }
+                        let page_req = PushRequest {
+                            offset: offset + i as u64 * ps,
+                            size: ps,
+                            ..req
+                        };
+                        let (r, rt) = self.push_upcall(policy, &page_req, 1);
+                        retries += rt;
+                        if r.as_ref().is_err_and(|e| !e.is_transient()) {
+                            dead_mapper = true;
+                        }
+                        outcomes.push(Some(r));
                     }
-                    outcomes.push(Some(r));
-                }
-                let mut guard = self.state.lock();
-                guard.stats.add(Counter::MapperRetries, retries_total);
-                guard.dim_mapper(segment, DimCounter::Retries, retries_total);
+                    (Ok(()), retries)
+                });
                 let mut err: Option<GmiError> = None;
                 let mut quarantine = false;
                 for (i, (&p, r)) in pages.iter().zip(outcomes).enumerate() {
@@ -1018,8 +985,7 @@ impl Pvm {
                         Some(Err(e)) => {
                             guard.finish_clean(p, false);
                             if matches!(e, GmiError::MapperTimeout { .. }) {
-                                guard.stats.bump(Counter::MapperTimeouts);
-                                guard.dim_mapper(segment, DimCounter::Timeouts, 1);
+                                guard.count_timeout(segment);
                             }
                             if !e.is_transient() {
                                 quarantine = true;
@@ -1053,68 +1019,42 @@ impl Pvm {
                 // action under the lock we still hold. They may die
                 // while the advice round trip runs below;
                 // `approve_external_victims` re-filters on return.
-                let cache = guard.page(pages[0]).cache;
+                let units = idents.len() as u64;
                 if guard.config.async_upcalls {
                     // Fire-and-collect, like a laundering push: the
                     // mapper answers eagerly, the approval bookkeeping
                     // waits for the completion's due time. Selection
                     // falls back to the internal clock meanwhile, so
                     // allocation never stalls on the advisor.
-                    let segment = ADVICE_SEGMENT;
-                    let id = guard.engine.register(segment);
-                    let inflight = guard.engine.inflight();
-                    guard.stats.bump(Counter::AsyncSubmits);
-                    guard.trace.event(|| TraceEvent::UpcallSubmit {
+                    let rec = CompletionRecord {
                         kind: UpcallKind::VictimAdvice,
-                        segment: segment.0,
+                        cache: guard.page(pages[0]).cache,
+                        segment: ADVICE_SEGMENT,
                         offset: 0,
                         size: 0,
-                        inflight,
-                    });
-                    let policy = guard.config.retry;
-                    let service = guard.upcall_service_ns(idents.len() as u64);
-                    let deadline_ns = request_deadline(guard.model.now().nanos(), &policy);
-                    drop(guard);
-                    let verdicts = self.seg_mgr.advise_victims(&idents);
-                    let approved = approved_victims(&pages, &verdicts);
-                    let mut guard = self.state.lock();
-                    let due = guard.model.now().nanos() + service;
-                    guard.engine.queue.insert(
-                        due,
-                        id,
-                        CompletionRecord {
-                            kind: UpcallKind::VictimAdvice,
-                            cache,
-                            segment,
-                            offset: 0,
-                            size: 0,
-                            pages: approved,
-                            result: Ok(()),
-                            retries: 0,
-                            deadline_ns,
-                        },
-                    );
-                    return Ok(guard);
+                        pages,
+                        result: Ok(()),
+                        retries: 0,
+                        deadline_ns: 0,
+                    };
+                    return Ok(self.submit_async(guard, rec, units, |_, pages| {
+                        *pages = approved_victims(pages, &self.seg_mgr.advise_victims(&idents));
+                        (Ok(()), 0)
+                    }));
                 }
-                drop(guard);
-                let t0 = self.trace.phase_start();
-                self.trace.event(|| TraceEvent::UpcallStart {
+                let span = UpcallSpan {
                     kind: UpcallKind::VictimAdvice,
-                    segment: ADVICE_SEGMENT.0,
                     offset: 0,
-                    size: idents.len() as u64,
-                });
-                let verdicts = self.seg_mgr.advise_victims(&idents);
-                self.trace.event(|| TraceEvent::UpcallEnd {
-                    kind: UpcallKind::VictimAdvice,
-                    outcome: UpcallOutcome::Ok,
-                    retries: 0,
-                });
-                self.trace.phase_end(Phase::PushOut, t0);
-                let approved = approved_victims(&pages, &verdicts);
-                let mut guard = self.state.lock();
+                    size: units,
+                    phase: Phase::PushOut,
+                };
+                let (mut guard, verdicts, _) =
+                    self.upcall_sync(guard, ADVICE_SEGMENT, Some(span), |_| {
+                        (Ok(self.seg_mgr.advise_victims(&idents)), 0)
+                    });
                 // One advisory round trip on the wire.
                 guard.charge(chorus_hal::OpKind::IpcOp);
+                let approved = approved_victims(&pages, &verdicts.unwrap_or_default());
                 guard.approve_external_victims(&approved);
                 Ok(guard)
             }
@@ -1138,46 +1078,27 @@ impl Pvm {
                 size,
                 page,
             } => {
-                let policy = guard.config.retry;
-                drop(guard);
-                let t0 = self.trace.phase_start();
-                self.trace.event(|| TraceEvent::UpcallStart {
+                let span = UpcallSpan {
                     kind: UpcallKind::GetWriteAccess,
-                    segment: segment.0,
                     offset,
                     size,
-                });
-                let (res, retries) = self.upcall_with_retry(segment, policy, || {
-                    self.seg_mgr.acquire_write_access(segment, offset, size)
-                });
-                self.trace.event(|| TraceEvent::UpcallEnd {
-                    kind: UpcallKind::GetWriteAccess,
-                    outcome: upcall_outcome(&res),
-                    retries,
-                });
-                self.trace.phase_end(Phase::GetWriteAccess, t0);
-                let mut guard = self.state.lock();
+                    phase: Phase::GetWriteAccess,
+                };
+                let (mut guard, res, retries) =
+                    self.upcall_sync(guard, segment, Some(span), |policy| {
+                        self.upcall_with_retry(segment, policy, || {
+                            self.seg_mgr.acquire_write_access(segment, offset, size)
+                        })
+                    });
                 // Each retry is its own upcall on the wire.
                 guard.stats.add(Counter::WriteAccessUpcalls, 1 + retries);
-                guard.stats.add(Counter::MapperRetries, retries);
-                guard.dim_mapper(segment, DimCounter::Retries, retries);
-                match res {
-                    Ok(()) => {
-                        if guard.pages.contains(page) {
-                            guard.page_mut(page).seg_write_ok = true;
-                        }
-                        Ok(guard)
-                    }
-                    Err(e) => {
-                        // A write-access denial is a coherence decision,
-                        // not a mapper death: no quarantine.
-                        if matches!(e, GmiError::MapperTimeout { .. }) {
-                            guard.stats.bump(Counter::MapperTimeouts);
-                            guard.dim_mapper(segment, DimCounter::Timeouts, 1);
-                        }
-                        Err(e)
-                    }
+                // A write-access denial is a coherence decision, not a
+                // mapper death: no quarantine.
+                res?;
+                if guard.pages.contains(page) {
+                    guard.page_mut(page).seg_write_ok = true;
                 }
+                Ok(guard)
             }
         }
     }
@@ -1325,9 +1246,7 @@ impl PvmState {
                 // degrades through an emergency eviction pass before
                 // giving up.
                 let alloc = match self.alloc_frame_reserved() {
-                    Err(GmiError::OutOfMemory)
-                        if self.config.emergency_pageout && self.emergency_evict() > 0 =>
-                    {
+                    Err(GmiError::OutOfMemory) if self.emergency_evict() > 0 => {
                         self.alloc_frame_reserved()
                     }
                     other => other,
@@ -1689,17 +1608,6 @@ impl Gmi for Pvm {
     }
 }
 
-/// The absolute simulated deadline of a request submitted at
-/// `submit_ns`: the retry policy's per-upcall deadline from submission,
-/// or "never" when deadlines are disabled.
-fn request_deadline(submit_ns: u64, policy: &chorus_gmi::RetryPolicy) -> u64 {
-    if policy.deadline_ns == 0 {
-        u64::MAX
-    } else {
-        submit_ns.saturating_add(policy.deadline_ns)
-    }
-}
-
 /// Sentinel segment id that carries `victimAdvice` completions through
 /// the engine's in-flight table: advice is addressed to the manager as
 /// a whole, not to any one segment, and no real segment ever gets this
@@ -1720,10 +1628,20 @@ fn approved_victims(
         .collect()
 }
 
+/// What a synchronous upcall bracket traces beyond the segment: the
+/// `UpcallStart` fields and the phase histogram the round trip lands in.
+#[derive(Clone, Copy)]
+struct UpcallSpan {
+    kind: UpcallKind,
+    offset: u64,
+    size: u64,
+    phase: Phase,
+}
+
 /// Maps an upcall's final result onto the traced outcome.
-fn upcall_outcome(res: &Result<()>) -> UpcallOutcome {
+pub(crate) fn upcall_outcome<T>(res: &Result<T>) -> UpcallOutcome {
     match res {
-        Ok(()) => UpcallOutcome::Ok,
+        Ok(_) => UpcallOutcome::Ok,
         Err(GmiError::MapperTimeout { .. }) => UpcallOutcome::Timeout,
         Err(e) if e.is_transient() => UpcallOutcome::Transient,
         Err(_) => UpcallOutcome::Permanent,

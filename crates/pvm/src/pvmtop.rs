@@ -309,7 +309,7 @@ pub(crate) fn snapshot(state: &PvmState) -> PvmTop {
 
     let policy = PolicyHeat {
         replacement: state.policy.default_kind().label(),
-        readahead: state.policy.readahead.kind().label(),
+        readahead: state.config.policy.readahead.label(),
         segment_overrides: state.policy.override_count() as u64,
         victim_requests: state.stats.get(C::PolicyVictimRequests),
         victims: state.stats.get(C::PolicyVictims),

@@ -8,6 +8,7 @@
 
 use crate::descriptors::{CowSource, Slot};
 use crate::keys::{CacheKey, PageKey};
+use crate::policy::ReadaheadKind;
 use crate::state::{blocked, done, Attempt, Blocked, Outcome, PvmState};
 use crate::stats::Counter;
 use crate::trace::TraceEvent;
@@ -117,10 +118,9 @@ impl PvmState {
                             }
                             pages += 1;
                         }
-                        if self.config.readahead_adaptive {
-                            let granted = window;
+                        if self.config.policy.readahead == ReadaheadKind::Doubling {
                             let d = self.cache_mut(x)?;
-                            d.ra_window = granted;
+                            d.ra_window = window;
                             d.ra_next = o + pages * ps;
                         }
                         // A synchronous pull covering exactly one
@@ -131,7 +131,6 @@ impl PvmState {
                         // completions interleave and the window may be
                         // re-split by coalescing.
                         if self.config.large_pages
-                            && self.config.buddy_runs
                             && !self.config.async_upcalls
                             && pages == self.geom.large_factor()
                             && self.geom.is_large_aligned(o)
@@ -163,16 +162,13 @@ impl PvmState {
     }
 
     /// The pull cluster window (in pages) for a miss of `cache` at
-    /// `off`. Static `pull_cluster_pages` unless adaptive readahead is
-    /// on; then the configured [`ReadaheadPolicy`] decides from the
-    /// cache's stream state (the default `DoublingWindow` doubles the
-    /// window up to `readahead_max_pages` when a miss lands exactly
-    /// where the previous clustered pull ended, and resets to the
-    /// static base otherwise).
+    /// `off`: the static `pull_cluster_pages` under
+    /// [`ReadaheadKind::Fifo`]; under [`ReadaheadKind::Doubling`] the
+    /// [`doubling_window`] rule decides from the cache's stream state.
     ///
-    /// [`ReadaheadPolicy`]: crate::policy::ReadaheadPolicy
+    /// [`doubling_window`]: crate::policy::doubling_window
     fn pull_window(&mut self, cache: CacheKey, off: u64) -> chorus_gmi::Result<u64> {
-        if !self.config.readahead_adaptive {
+        if self.config.policy.readahead == ReadaheadKind::Fifo {
             return Ok(self.config.pull_cluster_pages);
         }
         let base = self.config.pull_cluster_pages.max(1);
@@ -181,7 +177,7 @@ impl PvmState {
             let d = self.cache(cache)?;
             (d.ra_window, d.ra_next)
         };
-        let dec = self.policy.readahead.window(&crate::policy::RaInput {
+        let dec = crate::policy::doubling_window(&crate::policy::RaInput {
             offset: off,
             base,
             cap,

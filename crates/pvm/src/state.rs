@@ -179,10 +179,9 @@ pub(crate) struct PvmState {
     pub fast: Arc<TranslationCache>,
     /// Owner page of each allocated frame (reverse of `PageDesc.frame`).
     pub frame_owner: FxHashMap<u32, PageKey>,
-    /// The replacement/readahead policy engine (every tracked entry is a
-    /// live page; freed pages are removed eagerly). The default
-    /// configuration is one clock ring plus the doubling readahead
-    /// window — the pre-policy behaviour, bit for bit.
+    /// The replacement policy engine (every tracked entry is a live
+    /// page; freed pages are removed eagerly). The default configuration
+    /// is one clock ring — the pre-policy behaviour, bit for bit.
     pub policy: PolicyEngine,
     /// The current user context.
     pub current: Option<CtxKey>,
@@ -338,14 +337,10 @@ impl PvmState {
         }
     }
 
-    /// Quarantines a cache after a permanent mapper failure (if the
-    /// config enables it): every later operation that needs the cache
-    /// fails with a clean `CachePoisoned` error instead of re-driving
-    /// upcalls into an unavailable mapper.
+    /// Quarantines a cache after a permanent mapper failure: every later
+    /// operation that needs the cache fails with a clean `CachePoisoned`
+    /// error instead of re-driving upcalls into an unavailable mapper.
     pub fn quarantine_cache(&mut self, k: CacheKey) {
-        if !self.config.quarantine_on_permanent_failure {
-            return;
-        }
         let mut transitioned = false;
         if let Some(c) = self.caches.get_mut(k) {
             if !c.poisoned {
@@ -754,6 +749,12 @@ impl PvmState {
     #[inline]
     pub fn dim_mapper(&self, segment: SegmentId, c: DimCounter, n: u64) {
         self.telemetry.add(Dim::Mapper, segment.0, c, n);
+    }
+
+    /// Books one mapper timeout, globally and in the mapper's row.
+    pub fn count_timeout(&self, segment: SegmentId) {
+        self.stats.bump(Counter::MapperTimeouts);
+        self.dim_mapper(segment, DimCounter::Timeouts, 1);
     }
 
     /// Bumps one counter in both the cache and mapper dimensions — the

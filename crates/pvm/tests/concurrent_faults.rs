@@ -118,7 +118,6 @@ fn clustered_writeback_races_flushes_without_losing_writes() {
     let (pvm, _mgr) = setup_with(24, |o| {
         o.config.check_invariants = false;
         o.config.push_cluster_pages = 4;
-        o.config.writeback_daemon = true;
         o.config.writeback_low_frames = 8;
         o.config.writeback_high_frames = 12;
     });
@@ -134,6 +133,22 @@ fn clustered_writeback_races_flushes_without_losing_writes() {
             ctx
         })
         .collect();
+
+    // Deterministic pressure before the race: one thread dirties every
+    // page of the 32-page working set through the 24-frame pool, so
+    // free frames fall under the low watermark and the daemon wakes
+    // however the racing threads interleave later.
+    for (t, &ctx) in ctxs.iter().enumerate() {
+        let lo = base + t as u64 * PAGES_PER_THREAD * PS;
+        for p in 0..PAGES_PER_THREAD {
+            write(
+                &pvm,
+                ctx,
+                lo + p * PS,
+                &pattern((t as u8) << 5, PS as usize),
+            );
+        }
+    }
 
     let barrier = Arc::new(Barrier::new(THREADS + 1));
     let mut handles = Vec::new();
@@ -284,7 +299,6 @@ fn promotion_races_eviction_and_cleaning() {
     const RUNS_PER_THREAD: u64 = 2;
     let (pvm, _mgr) = setup_with(24, |o| {
         o.config.check_invariants = false;
-        o.config.buddy_runs = true;
         o.config.large_pages = true;
         o.config.promote_threshold_pages = FACTOR;
     });
@@ -626,7 +640,6 @@ fn parallel_faults_race_promotion_and_demotion() {
     let (pvm, _mgr) = setup_with(12, |o| {
         o.config.check_invariants = false;
         o.config.parallel_faults = true;
-        o.config.buddy_runs = true;
         o.config.large_pages = true;
         o.config.promote_threshold_pages = FACTOR;
     });

@@ -68,11 +68,7 @@ fn pvm_passes_gmi_conformance_through_v2() {
                     .readahead_max_pages(8)
                     .push_cluster_pages(4)
             })
-            .pressure(|p| {
-                p.writeback_daemon(true)
-                    .writeback_low_frames(4)
-                    .writeback_high_frames(8)
-            })
+            .pressure(|p| p.writeback_low_frames(4).writeback_high_frames(8))
             .r#async(|a| {
                 a.async_upcalls(mode == V2Mode::NativeAsync)
                     .max_inflight_upcalls(2)

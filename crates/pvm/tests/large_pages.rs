@@ -22,7 +22,6 @@ fn setup_large(
     Arc<chorus_gmi::testing::MemSegmentManager>,
 ) {
     setup_with(frames, |o| {
-        o.config.buddy_runs = true;
         o.config.large_pages = true;
         o.config.promote_threshold_pages = FACTOR;
     })
@@ -183,7 +182,6 @@ fn misaligned_region_never_promotes() {
 #[test]
 fn pull_from_segment_reserves_contiguous_run_and_promotes() {
     let (pvm, mgr) = setup_with(64, |o| {
-        o.config.buddy_runs = true;
         o.config.large_pages = true;
         o.config.promote_threshold_pages = FACTOR;
         // Pull windows sized exactly to the large factor so the

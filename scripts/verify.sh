@@ -21,9 +21,9 @@
 # scenarios with per-combo determinism self-checks and byte-verified
 # workloads), the pvmtop render smoke, the
 # release-mode concurrency stress, and the tracing
-# bit-identity check (Table 5 regenerated with CHORUS_TRACE=1 must
-# match the committed reports/table5.txt byte for byte — the
-# determinism rule: no trace call may advance the cost-model clock).
+# bit-identity check (Tables 5, 6, 7 and Figure 3 regenerated with
+# CHORUS_TRACE=1 must match the committed reports/*.txt byte for byte —
+# the determinism rule: no trace call may advance the cost-model clock).
 #
 # Every ablation smoke tees its --json output to a stable
 # BENCH_<name>.json at the repo root; the committed copies are the
@@ -197,7 +197,7 @@ step "ablation_policies --quick: every replacement policy raced"
 # The bench asserts internally that every combination re-runs
 # bit-identically (per-combo determinism self-check on the writeback
 # scenario), that a config which never names the policy section is
-# bit-identical to an explicit clock+doubling selection, and that each
+# bit-identical to an explicit clock+fifo selection, and that each
 # workload's bytes survive every policy (no dirty-page loss).
 cargo run --release -q -p chorus-bench --bin ablation_policies -- --json --quick |
   tee BENCH_policies.json |
@@ -277,10 +277,12 @@ else
   echo "WARN: parallel_faults knob-on sweep failed"
 fi
 
-step "tracing bit-identity: table5 with CHORUS_TRACE=1 vs committed report"
-CHORUS_TRACE=1 cargo run --release -q -p chorus-bench --bin table5 > "$tmp"
-diff -u reports/table5.txt "$tmp" ||
-  { echo "FAIL: table5 output with tracing on differs from reports/table5.txt"; exit 1; }
+step "tracing bit-identity: paper tables with CHORUS_TRACE=1 vs committed reports"
+for bin in table5 table6 table7 figure3; do
+  CHORUS_TRACE=1 cargo run --release -q -p chorus-bench --bin "$bin" > "$tmp"
+  diff -u "reports/$bin.txt" "$tmp" ||
+    { echo "FAIL: $bin output with tracing on differs from reports/$bin.txt"; exit 1; }
+done
 echo "ok"
 
 step "bench drift vs committed references (sim/fault fields gate)"

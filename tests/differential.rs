@@ -14,7 +14,7 @@ use chorus_gmi::testing::MemSegmentManager;
 use chorus_gmi::{CacheId, CopyMode, Gmi, SyncShim};
 use chorus_hal::{CostParams, PageGeometry};
 use chorus_pvm::trace::{Resolution, TraceEvent};
-use chorus_pvm::{Pvm, PvmConfig, PvmOptions, TraceConfig};
+use chorus_pvm::{Pvm, PvmConfig, PvmConfigBuilder, PvmOptions, ReadaheadKind, TraceConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -329,27 +329,64 @@ fn pvm_under_test(frames: u32) -> Arc<Pvm> {
 }
 
 fn pvm_with_manager(frames: u32) -> (Arc<Pvm>, Arc<MemSegmentManager>) {
+    pvm_with_config(frames, |b| b)
+}
+
+/// A traced, invariant-checked PVM whose builder `knobs` may adjust.
+fn pvm_with_config(
+    frames: u32,
+    knobs: impl FnOnce(PvmConfigBuilder) -> PvmConfigBuilder,
+) -> (Arc<Pvm>, Arc<MemSegmentManager>) {
     let mgr = Arc::new(MemSegmentManager::new());
+    let builder = PvmConfig::builder()
+        .paging(|p| p.check_invariants(true))
+        .telemetry(|t| {
+            t.trace(TraceConfig {
+                enabled: true,
+                ..TraceConfig::default()
+            })
+        });
     let pvm = Arc::new(Pvm::new(
         PvmOptions {
             geometry: PageGeometry::new(PS),
             frames,
             cost: CostParams::zero(),
-            config: PvmConfig::builder()
-                .paging(|p| p.check_invariants(true))
-                .telemetry(|t| {
-                    t.trace(TraceConfig {
-                        enabled: true,
-                        ..TraceConfig::default()
-                    })
-                })
-                .build()
-                .expect("valid config"),
+            config: knobs(builder).build().expect("valid config"),
             ..PvmOptions::default()
         },
         SyncShim::wrap(mgr.clone()),
     ));
     (pvm, mgr)
+}
+
+/// Builder knobs whose meaning is derived from another value: the
+/// readahead selector over a clustered pull, large pages (which imply
+/// buddy run reservations) over a large-aligned cluster, and the
+/// watermark pass (on exactly when `writeback_low_frames > 0`) over
+/// clustered pushes. Each pair differs in that one value; `which` past
+/// the six configurations leaves the defaults.
+fn rewired_knobs(which: usize, b: PvmConfigBuilder) -> PvmConfigBuilder {
+    match which {
+        0 => b
+            .paging(|p| p.pull_cluster_pages(2))
+            .policy(|p| p.readahead(ReadaheadKind::Fifo)),
+        1 => b
+            .paging(|p| p.pull_cluster_pages(2))
+            .policy(|p| p.readahead(ReadaheadKind::Doubling)),
+        2 => b
+            .paging(|p| p.pull_cluster_pages(2))
+            .large_pages(|l| l.large_pages(false).promote_threshold_pages(2)),
+        3 => b
+            .paging(|p| p.pull_cluster_pages(2))
+            .large_pages(|l| l.large_pages(true).promote_threshold_pages(2)),
+        4 => b
+            .paging(|p| p.push_cluster_pages(4))
+            .pressure(|p| p.writeback_low_frames(0).writeback_high_frames(12)),
+        5 => b
+            .paging(|p| p.push_cluster_pages(4))
+            .pressure(|p| p.writeback_low_frames(8).writeback_high_frames(12)),
+        _ => b,
+    }
 }
 
 fn shadow_under_test(frames: u32) -> Arc<chorus_shadow::ShadowVm> {
@@ -371,14 +408,6 @@ proptest! {
     #[test]
     fn pvm_matches_model(ops in proptest::collection::vec(op_strategy(), 1..60)) {
         let pvm = pvm_under_test(256);
-        run_differential(&*pvm, &ops);
-        pvm.check_invariants();
-    }
-
-    #[test]
-    fn pvm_matches_model_under_memory_pressure(ops in proptest::collection::vec(op_strategy(), 1..50)) {
-        // A pool smaller than one cache's full size: constant eviction.
-        let pvm = pvm_under_test(16);
         run_differential(&*pvm, &ops);
         pvm.check_invariants();
     }
@@ -409,6 +438,27 @@ proptest! {
                 mgr.fail_next_pull();
             }
         });
+        pvm.check_invariants();
+    }
+}
+
+proptest! {
+    // Half the cases run the defaults, the other half spread over the
+    // six rewired configurations.
+    #![proptest_config(ProptestConfig { cases: 192 })]
+
+    /// A pool smaller than one cache's full size: constant eviction.
+    /// `knobs` picks one of the [`rewired_knobs`] or the defaults; the
+    /// rewired clustered pulls and pushes exercise the readahead
+    /// selector, the large-page run reservation and the watermark pass
+    /// under the same pressure.
+    #[test]
+    fn pvm_matches_model_under_memory_pressure(
+        ops in proptest::collection::vec(op_strategy(), 1..50),
+        knobs in 0..12usize,
+    ) {
+        let (pvm, _mgr) = pvm_with_config(16, |b| rewired_knobs(knobs, b));
+        run_differential(&*pvm, &ops);
         pvm.check_invariants();
     }
 }

@@ -16,7 +16,7 @@ use chorus_nucleus::{
     FaultPlan, FaultyMapper, MemMapper, NucleusSegmentManager, PortName, SwapMapper,
 };
 use chorus_pvm::trace::{TraceEvent, UpcallOutcome};
-use chorus_pvm::{Pvm, PvmConfig, PvmOptions, TraceConfig};
+use chorus_pvm::{Pvm, PvmConfig, PvmOptions, ReadaheadKind, TraceConfig};
 use proptest::prelude::*;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -416,7 +416,6 @@ fn emergency_pageout_rescues_fill_up_when_replacement_is_off() {
     // progress.
     let s = stack(2, FaultPlan::quiet(0), FaultPlan::quiet(0), |c| {
         c.enable_pageout = false;
-        c.emergency_pageout = true;
     });
     let pvm = &s.pvm;
     let ctx = pvm.context_create().unwrap();
@@ -536,7 +535,6 @@ fn batched_writeback_faults_never_lose_dirty_pages() {
             |c| {
                 generous_retry(c);
                 c.push_cluster_pages = 4;
-                c.writeback_daemon = true;
                 c.writeback_low_frames = 2;
                 c.writeback_high_frames = 4;
             },
@@ -638,7 +636,7 @@ fn adaptive_readahead_ramps_on_sequential_streams() {
     let init: Vec<u8> = (0..long_pages * PS).map(|k| (k % 251) as u8).collect();
     let s = stack(64, FaultPlan::quiet(0), FaultPlan::quiet(0), |c| {
         c.pull_cluster_pages = 1;
-        c.readahead_adaptive = true;
+        c.policy.readahead = ReadaheadKind::Doubling;
         c.readahead_max_pages = 8;
     });
     let pvm = &s.pvm;
@@ -783,7 +781,6 @@ fn async_knobs(c: &mut PvmConfig) {
     c.pull_cluster_pages = 4;
     c.readahead_max_pages = 8;
     c.push_cluster_pages = 4;
-    c.writeback_daemon = true;
     c.writeback_low_frames = 2;
     c.writeback_high_frames = 4;
     c.async_upcalls = true;
@@ -830,11 +827,7 @@ fn ooo_stack() -> FaultStack {
     let config = PvmConfig::builder()
         .paging(|p| p.check_invariants(true).push_cluster_pages(8))
         .r#async(|a| a.async_upcalls(true).max_inflight_upcalls(4))
-        .pressure(|pr| {
-            pr.writeback_daemon(true)
-                .writeback_low_frames(4)
-                .writeback_high_frames(6)
-        })
+        .pressure(|pr| pr.writeback_low_frames(4).writeback_high_frames(6))
         .build()
         .expect("valid config");
     let pvm = Arc::new(Pvm::new(
@@ -934,7 +927,7 @@ fn hang_plan(at: u64) -> FaultPlan {
 /// boundaries fixed.
 fn pressure_knobs(c: &mut PvmConfig) {
     async_knobs(c);
-    c.writeback_daemon = false;
+    c.writeback_low_frames = 0;
     c.readahead_max_pages = 4;
 }
 

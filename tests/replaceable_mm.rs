@@ -274,7 +274,7 @@ fn pressured_pvm(
 
 #[test]
 fn every_replacement_policy_preserves_workload_behaviour_under_pressure() {
-    // Roomy reference with the default (clock/doubling) policies.
+    // Roomy reference with the default (clock/fifo) policies.
     let (seg_mgr, files) = managers();
     let roomy = Arc::new(Pvm::new(
         PvmOptions {
@@ -292,12 +292,12 @@ fn every_replacement_policy_preserves_workload_behaviour_under_pressure() {
     let pm = stack(roomy, seg_mgr, files);
     let reference = unix_workload(&pm);
 
-    // Every replacement policy, plus the fifo readahead baseline.
+    // Every replacement policy, plus the doubling readahead window.
     let mut combos: Vec<(ReplacementKind, ReadaheadKind)> = ReplacementKind::ALL
         .into_iter()
-        .map(|r| (r, ReadaheadKind::Doubling))
+        .map(|r| (r, ReadaheadKind::Fifo))
         .collect();
-    combos.push((ReplacementKind::Clock, ReadaheadKind::Fifo));
+    combos.push((ReplacementKind::Clock, ReadaheadKind::Doubling));
 
     for (replacement, readahead) in combos {
         let label = format!("{}/{}", replacement.label(), readahead.label());
